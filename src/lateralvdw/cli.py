@@ -160,6 +160,11 @@ _DEFAULT_OUTPUT = {
 
 
 def _validate_config(config: RunConfig, verb: str) -> None:
+    # One boundary for every float setting: nan and inf never reach a sweep
+    # grid or a closed form, where they would turn into rows or warnings.
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     if config.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
     if config.handedness not in ("left", "right"):
@@ -168,8 +173,8 @@ def _validate_config(config: RunConfig, verb: str) -> None:
         raise ConfigError("dipole_moment must be positive")
     if config.wavelength <= 0.0:
         raise ConfigError("wavelength must be positive")
-    if config.alpha_b < 0.0:
-        raise ConfigError("alpha_b must be non-negative")
+    if config.alpha_b <= 0.0:
+        raise ConfigError("alpha_b must be positive")
     if config.mass_a <= 0.0:
         raise ConfigError("mass_a must be positive")
     if config.delta_t <= 0.0:
@@ -183,9 +188,9 @@ def _validate_config(config: RunConfig, verb: str) -> None:
             raise ConfigError("points must be at least 1")
         if config.points > 1 and config.r_max <= config.r_min:
             raise ConfigError("r_max must exceed r_min for a sweep")
+    if verb in ("emission-spectrum", "validate") and config.r <= 0.0:
+        raise ConfigError("r must be positive")
     if verb == "emission-spectrum":
-        if config.r <= 0.0:
-            raise ConfigError("r must be positive")
         if config.phi_points < 8:
             raise ConfigError("phi_points must be at least 8")
     if config.p1 is not None and not 0.0 <= config.p1 <= 1.0:
@@ -214,7 +219,7 @@ def _resolve_population(config: RunConfig, verb: str) -> float:
     return _DEFAULT_P1.get(verb, 1.0)
 
 
-def _system_at(config: RunConfig, separation: float) -> TwoAtomSystem:
+def _system_at(config: RunConfig, separation: float | np.ndarray) -> TwoAtomSystem:
     return TwoAtomSystem.cs_rb(
         separation,
         handedness=config.handedness,
@@ -268,17 +273,23 @@ def _base_meta(config: RunConfig, verb: str) -> dict:
     return meta
 
 
-def _render(meta: dict, columns: list, rows: list, fmt: str) -> str:
+def _render(meta: dict, columns: list, rows: list, fmt: str, cell=repr) -> str:
+    """Serialise one table.
+
+    ``rows`` hold plain Python values; numeric tables come from
+    ``ndarray.tolist()``, so their cells are floats that ``repr`` renders
+    as the shortest round-tripping text.  Tables with other cell types
+    pass ``cell=_format_value``.
+    """
     if fmt == "json":
         payload = {
             "meta": {key: _pyval(value) for key, value in meta.items()},
-            "rows": [dict(zip(columns, (_pyval(v) for v in row))) for row in rows],
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = [f"# {key} = {_format_value(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(value) for value in row))
+    lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -307,31 +318,30 @@ def _output_path(config: RunConfig, verb: str) -> str:
     return f"{_DEFAULT_OUTPUT[verb]}.{config.format}"
 
 
-def _emit(config: RunConfig, verb: str, meta: dict, columns: list, rows: list) -> str:
+def _emit(
+    config: RunConfig, verb: str, meta: dict, columns: list, rows: list, cell=repr
+) -> str:
     path = _output_path(config, verb)
-    _write_atomic(path, _render(meta, columns, rows, config.format))
+    _write_atomic(path, _render(meta, columns, rows, config.format, cell))
     return path
 
 
 def cmd_force_curve(config: RunConfig) -> int:
     p1 = _resolve_population(config, "force-curve")
     columns = ["r", "xi", "F_x", "F_z_A", "F_z_B", "F_x_shape"]
-    rows = []
-    for separation in _sweep(config):
-        system = _system_at(config, separation)
-        lateral = lateral_force_closed_form(system, p1)
-        on_a = resonant_force_on_a(system, p1)
-        on_b = resonant_force_on_b(system, p1)
-        rows.append(
-            [
-                float(separation),
-                system.xi,
-                lateral,
-                float(on_a.force[2]),
-                float(on_b.force[2]),
-                float(on_a.shape_factor[0]),
-            ]
+    system = _system_at(config, _sweep(config))
+    on_a = resonant_force_on_a(system, p1)
+    on_b = resonant_force_on_b(system, p1)
+    rows = np.column_stack(
+        (
+            system.separation,
+            system.xi,
+            lateral_force_closed_form(system, p1),
+            on_a.force[:, 2],
+            on_b.force[:, 2],
+            on_a.shape_factor[:, 0],
         )
+    ).tolist()
     meta = _base_meta(config, "force-curve")
     meta.update(
         p1=p1,
@@ -348,14 +358,11 @@ def cmd_force_curve(config: RunConfig) -> int:
 def cmd_emission_spectrum(config: RunConfig) -> int:
     system = _system_at(config, config.r)
     spectrum = emission_spectrum(system, config.phi_points)
-    rates = np.array([rate for _, rate in spectrum.samples])
+    phis, rates = np.array(spectrum.samples).T
     peak = rates.max()
     scale = 1.0 / peak if peak > 0.0 else 0.0
     columns = ["phi", "R", "R_normalized"]
-    rows = [
-        [phi, rate, rate * scale]
-        for (phi, _), rate in zip(spectrum.samples, rates)
-    ]
+    rows = np.column_stack((phis, rates, rates * scale)).tolist()
     meta = _base_meta(config, "emission-spectrum")
     meta.update(
         r=config.r,
@@ -373,12 +380,10 @@ def cmd_emission_spectrum(config: RunConfig) -> int:
 def cmd_velocity(config: RunConfig) -> int:
     p1 = _resolve_population(config, "velocity")
     columns = ["r", "F_x", "v"]
-    rows = []
-    for separation in _sweep(config):
-        system = _system_at(config, separation)
-        force = lateral_force_closed_form(system, p1)
-        velocity = force * config.delta_t / config.mass_a
-        rows.append([float(separation), force, velocity])
+    separations = _sweep(config)
+    force = lateral_force_closed_form(_system_at(config, separations), p1)
+    velocity = force * config.delta_t / config.mass_a
+    rows = np.column_stack((separations, force, velocity)).tolist()
     meta = _base_meta(config, "velocity")
     meta.update(
         p1=p1,
@@ -401,7 +406,9 @@ def cmd_validate(config: RunConfig) -> int:
             rel_tol=config.quad_rel_tol if config.quad_rel_tol is not None else 1e-10,
             abs_tol=config.quad_abs_tol if config.quad_abs_tol is not None else 1e-30,
         )
-    checks = run_identity_checks(config=quad, f3_scale=config.f3_scale)
+    checks = run_identity_checks(
+        _system_at(config, config.r), config=quad, f3_scale=config.f3_scale
+    )
     columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
     rows = [
         [check.name, check.passed, check.achieved_error, check.tolerance, check.detail]
@@ -409,8 +416,8 @@ def cmd_validate(config: RunConfig) -> int:
     ]
     all_passed = all(check.passed for check in checks)
     meta = _base_meta(config, "validate")
-    meta.update(f3_scale=config.f3_scale, all_passed=all_passed)
-    path = _emit(config, "validate", meta, columns, rows)
+    meta.update(r=config.r, f3_scale=config.f3_scale, all_passed=all_passed)
+    path = _emit(config, "validate", meta, columns, rows, cell=_format_value)
     for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(

@@ -99,9 +99,11 @@ def spectrum_coefficients(xi: float) -> SpectrumCoefficients:
             + y2 * (xi * (xi * sin + cos) - sin)
         )
     )
-    sin2, cos2 = math.sin(2.0 * xi), math.cos(2.0 * xi)
+    # numpy trigonometry, as in forces.lateral_force_shape, so that
+    # f3 == -8 * shape holds bit for bit for scalar and array shapes alike.
+    sin2, cos2 = np.sin(2.0 * xi), np.cos(2.0 * xi)
     f3 = 48.0 * xi * (xi2 - 3.0) * cos2 + 8.0 * (9.0 - 15.0 * xi2 + xi2 * xi2) * sin2
-    return SpectrumCoefficients(f1, f2, f3)
+    return SpectrumCoefficients(f1, f2, float(f3))
 
 
 def recoil_rate_prefactor(system: TwoAtomSystem) -> float:
@@ -111,6 +113,12 @@ def recoil_rate_prefactor(system: TwoAtomSystem) -> float:
     return d * d * system.alpha_b / (64.0 * math.pi**3 * epsilon_0**2 * r**7)
 
 
+def _recoil_bracket(coefficients: SpectrumCoefficients, hand: float, phi):
+    """f1 + f2 cos(2 phi) + hand f3 cos(phi), for a float or an array of phi."""
+    f1, f2, f3 = coefficients
+    return f1 + f2 * np.cos(2.0 * phi) + hand * f3 * np.cos(phi)
+
+
 def recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     """Closed-form recoil rate R(phi) at unit excited population, N/rad.
 
@@ -118,9 +126,8 @@ def recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     x-z plane, flipping the sign of the cos(phi) term only.
     """
     _, hand = system.circular_parameters()
-    f1, f2, f3 = spectrum_coefficients(system.xi)
-    bracket = f1 + f2 * math.cos(2.0 * phi) + hand * f3 * math.cos(phi)
-    return recoil_rate_prefactor(system) * bracket
+    bracket = _recoil_bracket(spectrum_coefficients(system.xi), hand, phi)
+    return recoil_rate_prefactor(system) * float(bracket)
 
 
 def near_field_recoil_rate(system: TwoAtomSystem, phi: float) -> float:
@@ -270,16 +277,15 @@ def emission_spectrum(system: TwoAtomSystem, n_phi: int) -> EmissionSpectrum:
     """Closed-form recoil spectrum sampled on n_phi equispaced azimuths."""
     if n_phi < 8:
         raise ValueError(f"n_phi must be at least 8, got {n_phi}")
-    f1, f2, f3 = spectrum_coefficients(system.xi)
-    samples = []
-    for j in range(n_phi):
-        phi = 2.0 * math.pi * j / n_phi
-        samples.append((phi, recoil_rate(system, phi)))
+    _, hand = system.circular_parameters()
+    coefficients = spectrum_coefficients(system.xi)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    rates = recoil_rate_prefactor(system) * _recoil_bracket(coefficients, hand, phis)
     return EmissionSpectrum(
         separation=system.separation,
         xi=system.xi,
-        samples=samples,
-        f1=f1,
-        f2=f2,
-        f3=f3,
+        samples=list(zip(phis.tolist(), rates.tolist())),
+        f1=coefficients.f1,
+        f2=coefficients.f2,
+        f3=coefficients.f3,
     )

@@ -50,35 +50,43 @@ class ForceResult:
 
     ``prefactor`` is the closed-form scale d^2 alpha_B / (8 pi^2 eps0^2 r^7)
     in newtons and ``shape_factor`` the dimensionless per-component shapes,
-    so the product identity is exact by construction.
+    so the product identity is exact by construction.  For a system with N
+    separations, ``force`` and ``shape_factor`` are (N, 3) and
+    ``prefactor`` is (N,).
     """
 
     force: np.ndarray
     shape_factor: np.ndarray
-    prefactor: float
+    prefactor: float | np.ndarray
     population: float
 
 
-def lateral_force_shape(xi: float) -> float:
+def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     """Dimensionless lateral force shape of the circular-dipole closed form.
 
     Multiplied by p1 d^2 alpha_B/(8 pi^2 eps0^2 r^7) it gives F_x for the
     right-handed dipole.  O(xi^5) at small xi, so the lateral force stays
-    integrable against the 1/r^7 envelope.
+    integrable against the 1/r^7 envelope.  A float xi gives a float; an
+    array of xi gives the array of shapes, bit for bit the scalar values.
     """
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    c2 = math.cos(2.0 * xi)
-    s2 = math.sin(2.0 * xi)
+    xi = np.asarray(xi, dtype=float)
+    positive = xi > 0.0
+    if not positive.all():
+        raise ValueError(f"xi must be positive, got {xi[~positive].flat[0]}")
+    c2 = np.cos(2.0 * xi)
+    s2 = np.sin(2.0 * xi)
     xi2 = xi * xi
     # Term grouping mirrors the spectrum coefficient f3 so the two stay
     # exact negatives (up to the factor 8) in floating point, not just
     # algebraically; near the zeros of either, independent rounding would
     # otherwise decorrelate the deep cancellation.
-    return 6.0 * xi * (3.0 - xi2) * c2 - (9.0 - 15.0 * xi2 + xi2 * xi2) * s2
+    shape = 6.0 * xi * (3.0 - xi2) * c2 - (9.0 - 15.0 * xi2 + xi2 * xi2) * s2
+    return shape if shape.ndim else float(shape)
 
 
-def _closed_form_scale(d: float, alpha_b: float, r: float) -> float:
+def _closed_form_scale(
+    d: float, alpha_b: float, r: float | np.ndarray
+) -> float | np.ndarray:
     return d * d * alpha_b / (8.0 * math.pi**2 * epsilon_0**2 * r**7)
 
 
@@ -87,11 +95,12 @@ def _population_valid(p1: float) -> None:
         raise ValueError(f"excited-state population must lie in [0, 1], got {p1}")
 
 
-def lateral_force_closed_form(system: TwoAtomSystem, p1: float) -> float:
+def lateral_force_closed_form(system: TwoAtomSystem, p1: float) -> float | np.ndarray:
     """Closed-form lateral force F_x on atom A, newtons.
 
     Requires the circular x-z dipole convention; the sign follows the
-    handedness (mirror dipoles give mirror forces).
+    handedness (mirror dipoles give mirror forces).  A system with an
+    array of separations gives the array of per-separation forces.
     """
     _population_valid(p1)
     d, hand = system.circular_parameters()
@@ -108,9 +117,10 @@ def _force_result(system: TwoAtomSystem, p1: float, force_unit: np.ndarray) -> F
     except ValueError:
         dsq = float(np.vdot(system.dipole_a, system.dipole_a).real) / 2.0
     scale = dsq * system.alpha_b / (8.0 * math.pi**2 * epsilon_0**2 * system.separation**7)
-    shape = force_unit / scale
+    column = np.asarray(scale)[..., None]
+    shape = force_unit / column
     return ForceResult(
-        force=p1 * scale * shape,
+        force=p1 * column * shape,
         shape_factor=shape,
         prefactor=scale,
         population=p1,
@@ -122,6 +132,7 @@ def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
 
     F = 2 mu0^2 p1 omega^4 Re grad [d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01]
     evaluated at r = r_A, with the gradient acting on the outbound leg only.
+    A system with N separations gives (N, 3) forces and shapes.
     """
     _population_valid(p1)
     omega = system.omega_a
@@ -131,7 +142,7 @@ def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
 
     back = greens_free(r_b, r_a, omega) @ d01
     grad = greens_free_gradient(r_a, r_b, omega)
-    sandwich = np.einsum("a,kab,b->k", d10, grad, system.alpha_b * back)
+    sandwich = np.einsum("a,...kab,...b->...k", d10, grad, system.alpha_b * back)
     force_unit = 2.0 * mu_0**2 * omega**4 * sandwich.real
     return _force_result(system, p1, force_unit)
 
@@ -143,7 +154,8 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
     conjugated and the gradient acting on the leg that returns to A:
     F = 2 mu0^2 p1 omega^4 Re grad [d10 . G*(r_A, r_B) alpha_B G(r, r_A) . d01]
     at r = r_B.  The phase factors cancel pairwise, which removes both the
-    lateral component and the standing-wave oscillation in z.
+    lateral component and the standing-wave oscillation in z.  A system
+    with N separations gives (N, 3) forces and shapes.
     """
     _population_valid(p1)
     omega = system.omega_a
@@ -153,7 +165,7 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
 
     fixed = d10 @ np.conj(greens_free(r_a, r_b, omega))
     grad = greens_free_gradient(r_b, r_a, omega)
-    sandwich = np.einsum("a,kab,b->k", fixed, grad, d01) * system.alpha_b
+    sandwich = np.einsum("...a,...kab,b->...k", fixed, grad, d01) * system.alpha_b
     force_unit = 2.0 * mu_0**2 * omega**4 * sandwich.real
     return _force_result(system, p1, force_unit)
 

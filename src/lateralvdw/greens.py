@@ -36,9 +36,9 @@ __all__ = [
 _EYE = np.eye(3)
 
 
-def _shape_coefficients(xi: complex) -> tuple[complex, complex]:
+def _shape_coefficients(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transverse and radial scalar shapes a, b with
-    G = e^{i xi}/(4 pi r) * (a I + b RR)."""
+    G = e^{i xi}/(4 pi r) * (a I + b RR), one per entry of xi."""
     inv = 1.0 / xi
     a = 1.0 + 1j * inv - inv * inv
     b = -1.0 - 3j * inv + 3.0 * inv * inv
@@ -53,30 +53,45 @@ def _separation(r_from, r_to) -> tuple[np.ndarray, float]:
     return rr, dist
 
 
-def greens_free(r_from, r_to, omega: float) -> np.ndarray:
-    """Free-space dyadic Green's tensor G(r_from, r_to, omega), units 1/m."""
+def _displacements(r_from, r_to, omega: float) -> tuple:
+    """Flattened rows of r_from - r_to: leading shape, distances, unit vectors, xi.
+
+    Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
+    """
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    rr, dist = _separation(r_from, r_to)
-    unit = rr / dist
-    xi = omega * dist / c
+    rr = np.asarray(r_from, dtype=float) - np.asarray(r_to, dtype=float)
+    lead = rr.shape[:-1]
+    rr = rr.reshape(-1, 3)
+    dist = np.linalg.norm(rr, axis=-1)
+    if (dist == 0.0).any():
+        raise ValueError("Green's tensor requires two distinct points")
+    return lead, dist, rr / dist[:, None], omega * dist / c
+
+
+def greens_free(r_from, r_to, omega: float) -> np.ndarray:
+    """Free-space dyadic Green's tensor G(r_from, r_to, omega), units 1/m.
+
+    Points of shape (3,) give a (3, 3) tensor; stacked points of shape
+    (N, 3) give the (N, 3, 3) stack of per-row tensors.
+    """
+    lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     a, b = _shape_coefficients(xi)
-    scale = cmath.exp(1j * xi) / (4.0 * math.pi * dist)
-    return scale * (a * _EYE + b * np.outer(unit, unit))
+    scale = np.exp(1j * xi) / (4.0 * math.pi * dist)
+    uu = unit[:, :, None] * unit[:, None, :]
+    tensor = scale[:, None, None] * (a[:, None, None] * _EYE + b[:, None, None] * uu)
+    return tensor.reshape(lead + (3, 3))
 
 
 def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     """Gradient of greens_free with respect to r_from.
 
-    Returns grad[k, i, j] = d G_ij / d r_from[k], units 1/m^2.
+    Returns grad[..., k, i, j] = d G_ij / d r_from[k], units 1/m^2: shape
+    (3, 3, 3) for single points and (N, 3, 3, 3) for (N, 3) stacks.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    rr, dist = _separation(r_from, r_to)
-    unit = rr / dist
-    xi = omega * dist / c
+    lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     inv = 1.0 / xi
-    phase = cmath.exp(1j * xi)
+    phase = np.exp(1j * xi)
 
     _, b = _shape_coefficients(xi)
     # Radial derivatives of the scalar coefficients A(r) = e^{i xi} a/(4 pi r)
@@ -87,14 +102,13 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     s2 = phase / (4.0 * math.pi * dist * dist)
     b_over_r = phase * b / (4.0 * math.pi * dist * dist)
 
-    uu = np.outer(unit, unit)
-    grad = np.empty((3, 3, 3), dtype=complex)
-    for k in range(3):
-        term = s2 * unit[k] * (da * _EYE + db * uu)
-        ek = _EYE[k]
-        proj = np.outer(ek - unit[k] * unit, unit)
-        grad[k] = term + b_over_r * (proj + proj.T)
-    return grad
+    uu = unit[:, :, None] * unit[:, None, :]
+    radial = da[:, None, None] * _EYE + db[:, None, None] * uu
+    term = (s2[:, None] * unit)[:, :, None, None] * radial[:, None, :, :]
+    # proj[k, i, j] = (delta_ki - u_k u_i) u_j, the transverse part of e_k.
+    proj = (_EYE - uu)[:, :, :, None] * unit[:, None, None, :]
+    grad = term + b_over_r[:, None, None, None] * (proj + proj.swapaxes(-1, -2))
+    return grad.reshape(lead + (3, 3, 3))
 
 
 def greens_cylindrical_mode(delta_r, omega: float, k_par: float, phi: float) -> np.ndarray:

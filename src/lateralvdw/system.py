@@ -81,14 +81,18 @@ class TwoAtomSystem:
     omega_a     transition angular frequency of A, rad/s
     dipole_a    complex transition dipole <1|d|0> of A, C m
     alpha_b     scalar polarizability of B at omega_a, F m^2
-    separation  |r_A - r_B|, m
+    separation  |r_A - r_B|, m; a float, or a 1-D array for a sweep
     mass_a      mass of atom A, kg (used for velocities)
+
+    With an array of separations, ``xi`` and ``position_b`` follow it row
+    by row, and the closed forms and resonant forces of ``forces`` return
+    one result per separation.  The other routes take a float separation.
     """
 
     omega_a: float
     dipole_a: np.ndarray
     alpha_b: float
-    separation: float
+    separation: float | np.ndarray
     mass_a: float = CESIUM_MASS
 
     def __post_init__(self):
@@ -97,8 +101,16 @@ class TwoAtomSystem:
             raise ValueError("dipole_a must be a 3-vector")
         if not self.omega_a > 0.0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
-        if not self.separation > 0.0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
+        separation = np.asarray(self.separation, dtype=float)
+        if separation.ndim > 1:
+            raise ValueError("separation must be a float or a 1-D array")
+        valid = np.isfinite(separation) & (separation > 0.0)
+        if not valid.all():
+            raise ValueError(
+                f"separation must be finite and positive, got {separation[~valid].flat[0]}"
+            )
+        if separation.ndim:
+            self.separation = separation
         if not self.alpha_b > 0.0:
             raise ValueError(f"alpha_b must be positive, got {self.alpha_b}")
         if not self.mass_a > 0.0:
@@ -107,7 +119,7 @@ class TwoAtomSystem:
     @classmethod
     def cs_rb(
         cls,
-        separation: float,
+        separation: float | np.ndarray,
         handedness: str = "right",
         dipole_moment: float = CESIUM_DIPOLE,
         wavelength: float = CESIUM_WAVELENGTH,
@@ -124,7 +136,7 @@ class TwoAtomSystem:
         )
 
     @property
-    def xi(self) -> float:
+    def xi(self) -> float | np.ndarray:
         """Dimensionless retardation parameter omega_a * separation / c."""
         return self.omega_a * self.separation / c
 
@@ -134,7 +146,10 @@ class TwoAtomSystem:
 
     @property
     def position_b(self) -> np.ndarray:
-        return np.array([0.0, 0.0, _ATOM_B_SIDE * self.separation])
+        """(3,) position, or (N, 3) rows for an array of separations."""
+        position = np.zeros(np.shape(self.separation) + (3,))
+        position[..., 2] = _ATOM_B_SIDE * self.separation
+        return position
 
     def circular_parameters(self) -> tuple[float, float]:
         """(d, handedness sign) of the circular dipole; raises if not circular."""

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from lateralvdw import (
     resonant_force_on_a,
     resonant_force_on_b,
 )
+from lateralvdw import cli
 from lateralvdw.cli import main
+from lateralvdw.validation import IdentityCheck
 
 
 def read_table(path):
@@ -78,6 +81,30 @@ def test_force_curve_single_row_equals_library(tmp_path, monkeypatch):
     assert column(header, body, "F_x_shape")[0] == pytest.approx(
         resonant_force_on_a(system, 1.0).shape_factor[0], rel=1e-15
     )
+
+
+def test_force_curve_rows_match_per_point_library_calls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["force-curve", "--log-scale", "--r-min", "1.4e-10", "--r-max", "8.1e-6",
+            "--points", "120", "--handedness", "left", "--p1", "0.3", "--no-timestamp"]
+    assert main(args) == 0
+    _, _, body = read_table(tmp_path / "force_curve.csv")
+    eps = np.finfo(float).eps
+    for row in body:
+        r, xi, f_x, f_z_a, f_z_b, shape = (float(text) for text in row)
+        system = TwoAtomSystem.cs_rb(r, handedness="left")
+        on_a = resonant_force_on_a(system, 0.3)
+        on_b = resonant_force_on_b(system, 0.3)
+        assert xi == system.xi
+        assert f_x == pytest.approx(lateral_force_closed_form(system, 0.3), rel=1e-15)
+        assert f_z_a == pytest.approx(on_a.force[2], rel=1e-13)
+        assert f_z_b == pytest.approx(on_b.force[2], rel=1e-13)
+        # The gradient-route shape cancels O(xi) terms down to O(xi^5), so
+        # its rounding grows like eps / xi^4 relative to the shape's scale:
+        # the smaller of its envelope and its small-xi size (2/5) xi^5.
+        size = min(math.hypot(6.0 * xi * (3.0 - xi * xi), 9.0 - 15.0 * xi * xi + xi**4),
+                   0.4 * xi**5)
+        assert abs(shape - on_a.shape_factor[0]) <= (1e-13 + 500.0 * eps / xi**4) * size
 
 
 def test_csv_and_json_carry_identical_numbers(tmp_path, monkeypatch):
@@ -227,6 +254,144 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
     assert main(["emission-spectrum", "--phi-points", "4"]) == 2
     assert main(["velocity", "--p1", "1.5"]) == 2
     assert main(["velocity", "--delta-t", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, config_text",
+    [
+        (["velocity", "--delta-t", "nan"], None),
+        (["velocity", "--delta-t", "inf"], None),
+        (["force-curve", "--r-max", "inf"], None),
+        (["velocity"], "alpha_b = 0\n"),
+        (["validate"], "alpha_b = 0\n"),
+        (["emission-spectrum"], "wavelength = nan\n"),
+    ],
+)
+def test_non_finite_and_out_of_range_settings_exit_two(
+    tmp_path, monkeypatch, capsys, args, config_text
+):
+    monkeypatch.chdir(tmp_path)
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+        args = args + ["--config", "run.cfg"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--output", "out.csv"]) == 2
+    assert not (tmp_path / "out.csv").exists()
+    assert "error" in capsys.readouterr().err
+
+
+def test_validate_checks_the_configured_system(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    received = []
+
+    def fake_checks(system, config=None, f3_scale=1.0):
+        received.append(system)
+        return [IdentityCheck("stub", 0.0, 1.0, True)]
+
+    monkeypatch.setattr(cli, "run_identity_checks", fake_checks)
+    (tmp_path / "run.cfg").write_text("alpha_b = 4e-38\nr = 5e-7\n")
+    args = ["validate", "--handedness", "left", "--config", "run.cfg", "--no-timestamp"]
+    assert main(args) == 0
+    (system,) = received
+    assert system.circular_parameters()[1] == -1.0
+    assert system.separation == 5e-7
+    assert system.alpha_b == 4e-38
+    meta, _, _ = read_table(tmp_path / "validation_report.csv")
+    assert meta["handedness"] == "left"
+    assert meta["r"] == "5e-07"
+
+
+def test_left_handed_validate_passes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--handedness", "left", "--no-timestamp"]) == 0
+
+
+# Frozen renderer output: 17-digit floats, a negative value at a zero
+# crossing, signed zero, subnormal and integer-valued cells, and metadata
+# without the generated-at line that --no-timestamp drops.
+GOLDEN_META = {
+    "tool": "lateralvdw",
+    "version": "0.1.0",
+    "verb": "velocity",
+    "handedness": "left",
+    "dipole_moment": 1.9e-29,
+    "p1": np.float64(0.1) * 3.0,
+    "points": 3,
+    "log_scale": True,
+}
+GOLDEN_COLUMNS = ["r", "F_x", "v"]
+GOLDEN_TABLE = (
+    [1e-07, 6.32e-07, 0.1 + 0.2],
+    [2.0000000000000006e-21, -4.440892098500626e-16, -0.0],
+    [1.0 / 3.0, 1e22, 5e-324],
+)
+GOLDEN_CSV = (
+    "# dipole_moment = 1.9e-29\n"
+    "# handedness = left\n"
+    "# log_scale = true\n"
+    "# p1 = 0.30000000000000004\n"
+    "# points = 3\n"
+    "# tool = lateralvdw\n"
+    "# verb = velocity\n"
+    "# version = 0.1.0\n"
+    "r,F_x,v\n"
+    "1e-07,2.0000000000000006e-21,0.3333333333333333\n"
+    "6.32e-07,-4.440892098500626e-16,1e+22\n"
+    "0.30000000000000004,-0.0,5e-324\n"
+)
+GOLDEN_JSON = """{
+  "meta": {
+    "dipole_moment": 1.9e-29,
+    "handedness": "left",
+    "log_scale": true,
+    "p1": 0.30000000000000004,
+    "points": 3,
+    "tool": "lateralvdw",
+    "verb": "velocity",
+    "version": "0.1.0"
+  },
+  "rows": [
+    {
+      "F_x": 2.0000000000000006e-21,
+      "r": 1e-07,
+      "v": 0.3333333333333333
+    },
+    {
+      "F_x": -4.440892098500626e-16,
+      "r": 6.32e-07,
+      "v": 1e+22
+    },
+    {
+      "F_x": -0.0,
+      "r": 0.30000000000000004,
+      "v": 5e-324
+    }
+  ]
+}
+"""
+GOLDEN_VALIDATE_CSV = (
+    "# all_passed = false\n"
+    "# verb = validate\n"
+    "name,passed,achieved_error,tolerance,detail\n"
+    "bracket-identity,true,0.0,1e-12,f3 vs shape, on a grid\n"
+    "x,false,2.5e-06,1e-08,\n"
+)
+
+
+def test_renderer_matches_frozen_bytes():
+    assert "generated" not in cli._base_meta(cli.RunConfig(timestamp=False), "velocity")
+    rows = np.column_stack(GOLDEN_TABLE).tolist()
+    assert cli._render(GOLDEN_META, GOLDEN_COLUMNS, rows, "csv") == GOLDEN_CSV
+    assert cli._render(GOLDEN_META, GOLDEN_COLUMNS, rows, "json") == GOLDEN_JSON
+    checks = [
+        ["bracket-identity", True, 0.0, 1e-12, "f3 vs shape, on a grid"],
+        ["x", False, 2.5e-06, 1e-08, ""],
+    ]
+    columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
+    meta = {"verb": "validate", "all_passed": False}
+    rendered = cli._render(meta, columns, checks, "csv", cell=cli._format_value)
+    assert rendered == GOLDEN_VALIDATE_CSV
 
 
 def test_usage_errors_exit_two(tmp_path, monkeypatch, capsys):

@@ -257,6 +257,22 @@ def test_emission_spectrum_samples_reproduce_closed_form():
     assert spectrum.f3 == pytest.approx(f3, rel=1e-14)
 
 
+def test_emission_spectrum_computes_coefficients_once(monkeypatch):
+    import lateralvdw.emission as emission
+
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return spectrum_coefficients(xi)
+
+    monkeypatch.setattr(emission, "spectrum_coefficients", counted)
+    system = system_at_xi(2.0)
+    spectrum = emission.emission_spectrum(system, 512)
+    assert calls == [system.xi]
+    assert len(spectrum.samples) == 512
+
+
 def test_emission_spectrum_rejects_sparse_sampling():
     with pytest.raises(ValueError):
         emission_spectrum(system_at_xi(1.0), 4)

@@ -24,6 +24,7 @@ from lateralvdw.constants import (
     c,
     epsilon_0,
 )
+from lateralvdw.emission import spectrum_coefficients
 
 
 def system_at_xi(xi: float, handedness: str = "right") -> TwoAtomSystem:
@@ -159,6 +160,55 @@ def test_shape_small_argument_expansion():
 def test_shape_rejects_nonpositive_argument():
     with pytest.raises(ValueError):
         lateral_force_shape(0.0)
+    with pytest.raises(ValueError):
+        lateral_force_shape(np.array([0.5, 0.0, 1.0]))
+
+
+XI_GRID = np.geomspace(1e-3, 60.0, 997)
+
+
+def test_shape_array_equals_scalar_loop_bit_for_bit():
+    looped = np.array([lateral_force_shape(float(xi)) for xi in XI_GRID])
+    assert isinstance(lateral_force_shape(1.0), float)
+    assert np.array_equal(lateral_force_shape(XI_GRID), looped)
+
+
+def test_f3_is_minus_eight_shape_bit_for_bit_on_arrays():
+    f3 = np.array([spectrum_coefficients(float(xi)).f3 for xi in XI_GRID])
+    assert np.array_equal(f3, -8.0 * lateral_force_shape(XI_GRID))
+
+
+def test_system_separation_array_checked_elementwise():
+    good = TwoAtomSystem.cs_rb(np.array([1e-7, 2e-7]))
+    assert good.position_b.shape == (2, 3)
+    assert np.array_equal(good.position_b[:, 2], -good.separation)
+    assert good.xi.shape == (2,)
+    for bad in ([1e-7, 0.0], [1e-7, -1e-7], [1e-7, np.nan], [1e-7, np.inf],
+                [[1e-7, 2e-7]]):
+        with pytest.raises(ValueError):
+            TwoAtomSystem.cs_rb(np.array(bad))
+    with pytest.raises(ValueError):
+        TwoAtomSystem.cs_rb(math.inf)
+
+
+def test_array_system_forces_match_per_separation_calls():
+    separations = np.geomspace(50e-9, 5e-6, 41)
+    for handedness in ("right", "left"):
+        stacked = TwoAtomSystem.cs_rb(separations, handedness=handedness)
+        lateral = lateral_force_closed_form(stacked, 0.4)
+        on_a = resonant_force_on_a(stacked, 0.4)
+        on_b = resonant_force_on_b(stacked, 0.4)
+        assert on_a.force.shape == on_b.shape_factor.shape == (41, 3)
+        for i, r in enumerate(separations):
+            single = TwoAtomSystem.cs_rb(float(r), handedness=handedness)
+            assert lateral[i] == pytest.approx(
+                lateral_force_closed_form(single, 0.4), rel=1e-15
+            )
+            for stack, route in ((on_a, resonant_force_on_a), (on_b, resonant_force_on_b)):
+                point = route(single, 0.4)
+                scale = np.max(np.abs(point.force))
+                assert np.max(np.abs(stack.force[i] - point.force)) <= 1e-13 * scale
+                assert stack.prefactor[i] == pytest.approx(point.prefactor, rel=1e-15)
 
 
 def test_nonresonant_force_near_field_constant():

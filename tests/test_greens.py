@@ -149,6 +149,27 @@ def test_coincident_points_rejected():
     r = np.array([1e-7, 0.0, 0.0])
     with pytest.raises(ValueError):
         greens_free(r, r, OMEGA)
+    stacked = np.array([[0.0, 0.0, 1e-7], r])
+    with pytest.raises(ValueError):
+        greens_free_gradient(stacked, r, OMEGA)
+
+
+def test_stacked_tensors_match_per_point_values(rng):
+    pairs = [random_pair(rng) for _ in range(64)]
+    r1 = np.array([p[0] for p in pairs])
+    r2 = np.array([p[1] for p in pairs])
+    tensors = greens_free(r1, r2, OMEGA)
+    grads = greens_free_gradient(r1, r2, OMEGA)
+    assert tensors.shape == (64, 3, 3)
+    assert grads.shape == (64, 3, 3, 3)
+    for i in range(64):
+        point = greens_free(r1[i], r2[i], OMEGA)
+        point_grad = greens_free_gradient(r1[i], r2[i], OMEGA)
+        assert np.max(np.abs(tensors[i] - point)) <= 1e-14 * np.max(np.abs(point))
+        assert np.max(np.abs(grads[i] - point_grad)) <= 1e-14 * np.max(np.abs(point_grad))
+    # A single point broadcasts against a stack.
+    fixed = greens_free(np.zeros(3), r2, OMEGA)
+    assert np.max(np.abs(fixed[5] - greens_free(np.zeros(3), r2[5], OMEGA))) == 0.0
 
 
 def test_imaginary_frequency_tensor_is_real_and_decaying():
