@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -91,31 +92,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> parser for the flat config-file grammar; values land on RunConfig
-# fields of the same name.
-_CONFIG_PARSERS = {
-    "dipole_moment": float,
-    "wavelength": float,
-    "alpha_b": float,
-    "mass_a": float,
-    "handedness": str,
-    "r_min": float,
-    "r_max": float,
-    "points": int,
-    "log_scale": _parse_bool,
-    "r": float,
-    "phi_points": int,
-    "p1": float,
-    "rabi": float,
-    "detuning": float,
-    "rabi_over_detuning": float,
-    "delta_t": float,
-    "quad_rel_tol": float,
-    "quad_abs_tol": float,
-    "output": str,
-    "format": str,
-    "timestamp": _parse_bool,
-    "f3_scale": float,
+def _field_parser(hint):
+    # ``X | None`` settings parse as X; booleans accept the words above.
+    base = next((arg for arg in typing.get_args(hint) if arg is not type(None)), hint)
+    return _parse_bool if base is bool else base
+
+
+# RunConfig field -> value parser; the config-file keys and the flag
+# overrides are exactly these fields.
+_FIELD_PARSERS = {
+    name: _field_parser(hint) for name, hint in typing.get_type_hints(RunConfig).items()
 }
 
 
@@ -140,7 +126,7 @@ def parse_config_file(path: str) -> dict:
         key, _, text = stripped.partition("=")
         key = key.strip()
         text = text.strip()
-        parser = _CONFIG_PARSERS.get(key)
+        parser = _FIELD_PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
@@ -494,29 +480,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dest -> RunConfig field for flags that override config-file values.
-_FLAG_FIELDS = (
-    "output",
-    "format",
-    "r_min",
-    "r_max",
-    "points",
-    "log_scale",
-    "phi_points",
-    "delta_t",
-    "p1",
-    "handedness",
-    "r",
-    "f3_scale",
-)
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config is not None:
         config = replace(config, **parse_config_file(args.config))
     overrides = {}
-    for field_name in _FLAG_FIELDS:
+    for field_name in _FIELD_PARSERS:
         value = getattr(args, field_name, None)
         if value is not None:
             overrides[field_name] = value

@@ -21,15 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import c, epsilon_0, hbar, mu_0
-from .greens import greens_cylindrical_mode, greens_free
+from .constants import hbar, mu_0
+from .greens import _mode_tensors, greens_free
 from .quadrature import (
     QuadratureConfig,
     integrate_evanescent,
     integrate_propagating,
+    transverse_wavenumber,
 )
 from .specfun import bessel_j, bessel_y
-from .system import TwoAtomSystem
+from .system import TwoAtomSystem, _closed_form_scale
 
 __all__ = [
     "SpectrumCoefficients",
@@ -107,10 +108,11 @@ def spectrum_coefficients(xi: float) -> SpectrumCoefficients:
 
 
 def recoil_rate_prefactor(system: TwoAtomSystem) -> float:
-    """Scale d^2 alpha_B / (64 pi^3 eps0^2 r^7) of the closed form, newtons."""
-    d, _ = system.circular_parameters()
-    r = system.separation
-    return d * d * system.alpha_b / (64.0 * math.pi**3 * epsilon_0**2 * r**7)
+    """Scale d^2 alpha_B / (64 pi^3 eps0^2 r^7) of the closed form, newtons.
+
+    The force scale d^2 alpha_B / (8 pi^2 eps0^2 r^7) over 8 pi.
+    """
+    return _closed_form_scale(system) / (8.0 * math.pi)
 
 
 def _recoil_bracket(coefficients: SpectrumCoefficients, hand: float, phi):
@@ -156,10 +158,9 @@ def asymmetry(system: TwoAtomSystem) -> float:
     cos(phi) coefficient survives, so this is d^2 alpha_B f3 /
     (16 pi^3 eps0^2 r^7) for the right-handed dipole.
     """
-    d, hand = system.circular_parameters()
+    _, hand = system.circular_parameters()
     _, _, f3 = spectrum_coefficients(system.xi)
-    r = system.separation
-    return hand * d * d * system.alpha_b * f3 / (16.0 * math.pi**3 * epsilon_0**2 * r**7)
+    return 4.0 * hand * f3 * recoil_rate_prefactor(system)
 
 
 def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
@@ -171,43 +172,27 @@ def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
     momentum and the return leg in closed form.  Integrated over the full
     mode measure it reproduces the assisted-decay correction.
     """
-    omega = system.omega_a
-    d10 = system.dipole_a
-    d01 = np.conj(d10)
-    r_a, r_b = system.position_a, system.position_b
-    mode = greens_cylindrical_mode(r_a - r_b, omega, k_par, phi)
-    back = greens_free(r_b, r_a, omega) @ d01
-    sandwich = d10 @ mode @ (system.alpha_b * back)
-    return 2.0 * mu_0**2 / hbar * omega**4 * sandwich.imag
+    gamma = _mode_sandwich_profile(system, phi)
+    return float(gamma(k_par, transverse_wavenumber(k_par, system.omega_a)))
 
 
-def _mode_sandwich_profile(system: TwoAtomSystem, phis: np.ndarray):
-    """Vectorised gamma(k_par, phi_j) over a fixed azimuth grid.
+def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
+    """gamma(k_par, phi) at a float azimuth or over an array of azimuths.
 
-    Returns a callable (k_par, k_perp) -> ndarray of rate densities, with
-    the geometry factors hoisted out of the quadrature loop.
+    Returns a callable (k_par, k_perp) -> rate densities (a float, or one
+    per azimuth), with the closed-form return leg hoisted out of the
+    quadrature loop.
     """
     omega = system.omega_a
     d10 = system.dipole_a
-    d01 = np.conj(d10)
     r_a, r_b = system.position_a, system.position_b
-    dz = r_a[2] - r_b[2]
-    sign = math.copysign(1.0, dz)
-    back = system.alpha_b * (greens_free(r_b, r_a, omega) @ d01)
-    csq = (c / omega) ** 2
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
-    eye = np.eye(3)
+    dx, dy, dz = r_a - r_b
+    back = system.alpha_b * (greens_free(r_b, r_a, omega) @ np.conj(d10))
     rate_scale = 2.0 * mu_0**2 / hbar * omega**4
 
-    def profile(k_par: float, k_perp: complex) -> np.ndarray:
-        kvec = np.empty((len(phis), 3), dtype=complex)
-        kvec[:, 0] = k_par * cos_p
-        kvec[:, 1] = k_par * sin_p
-        kvec[:, 2] = sign * k_perp
-        tensors = eye[None, :, :] - csq * kvec[:, :, None] * kvec[:, None, :]
-        phase = 1j / (8.0 * math.pi**2 * k_perp) * np.exp(1j * k_perp * abs(dz))
-        sandwich = np.einsum("a,pab,b->p", d10, tensors, back)
-        return rate_scale * np.imag(phase * sandwich)
+    def profile(k_par: float, k_perp: complex) -> float | np.ndarray:
+        tensors = _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis)
+        return rate_scale * np.einsum("a,...ab,b->...", d10, tensors, back).imag
 
     return profile
 
@@ -216,14 +201,14 @@ def recoil_rate_quadrature(
     system: TwoAtomSystem, phi: float, config: QuadratureConfig | None = None
 ) -> float:
     """Recoil rate by direct quadrature of hbar k_par times the density."""
-    gamma = _mode_sandwich_profile(system, np.array([phi]))
+    gamma = _mode_sandwich_profile(system, phi)
 
-    def integrand(k_par: float, k_perp: complex) -> complex:
-        return complex(hbar * k_par * k_par * gamma(k_par, k_perp)[0])
+    def integrand(k_par: float, k_perp: complex) -> float:
+        return hbar * k_par * k_par * gamma(k_par, k_perp)
 
     total = integrate_propagating(integrand, system.omega_a, config)
     total += integrate_evanescent(integrand, system.omega_a, system.separation, config)
-    return total.real
+    return float(total)
 
 
 def recoil_rate_profile(

@@ -20,7 +20,6 @@ from .constants import (
     RUBIDIUM_RESONANCE_WAVELENGTH,
     angular_frequency,
     c,
-    epsilon_0,
     hbar,
     mu_0,
 )
@@ -30,8 +29,8 @@ from .greens import (
     greens_free_gradient_imag,
     greens_free_imag,
 )
-from .quadrature import QuadratureConfig
-from .system import TwoAtomSystem
+from .quadrature import QuadratureConfig, _quad_vec
+from .system import TwoAtomSystem, _closed_form_scale
 
 __all__ = [
     "ForceResult",
@@ -84,12 +83,6 @@ def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     return shape if shape.ndim else float(shape)
 
 
-def _closed_form_scale(
-    d: float, alpha_b: float, r: float | np.ndarray
-) -> float | np.ndarray:
-    return d * d * alpha_b / (8.0 * math.pi**2 * epsilon_0**2 * r**7)
-
-
 def _population_valid(p1: float) -> None:
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"excited-state population must lie in [0, 1], got {p1}")
@@ -103,20 +96,14 @@ def lateral_force_closed_form(system: TwoAtomSystem, p1: float) -> float | np.nd
     array of separations gives the array of per-separation forces.
     """
     _population_valid(p1)
-    d, hand = system.circular_parameters()
-    scale = _closed_form_scale(d, system.alpha_b, system.separation)
-    return hand * p1 * scale * lateral_force_shape(system.xi)
+    _, hand = system.circular_parameters()
+    return hand * p1 * _closed_form_scale(system) * lateral_force_shape(system.xi)
 
 
 def _force_result(system: TwoAtomSystem, p1: float, force_unit: np.ndarray) -> ForceResult:
     # force_unit is the p1 = 1 force; report shapes against the closed-form
     # scale so the decomposition stays exact under reassembly.
-    try:
-        d, _ = system.circular_parameters()
-        dsq = d * d
-    except ValueError:
-        dsq = float(np.vdot(system.dipole_a, system.dipole_a).real) / 2.0
-    scale = dsq * system.alpha_b / (8.0 * math.pi**2 * epsilon_0**2 * system.separation**7)
+    scale = _closed_form_scale(system)
     column = np.asarray(scale)[..., None]
     shape = force_unit / column
     return ForceResult(
@@ -173,7 +160,6 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
 def nonresonant_force(
     system: TwoAtomSystem,
     resonance_wavelength_b: float = RUBIDIUM_RESONANCE_WAVELENGTH,
-    two_level_model: bool = True,
     config: QuadratureConfig | None = None,
 ) -> np.ndarray:
     """Ground-state-like force from the imaginary-frequency integral, newtons.
@@ -188,10 +174,6 @@ def nonresonant_force(
     (Rb D2 by default).  Attractive, with the 1/r^7 near-field scaling and
     no lateral component.
     """
-    if not two_level_model:
-        raise NotImplementedError("only the two-level polarizability model is implemented")
-    from scipy.integrate import quad_vec
-
     cfg = config or QuadratureConfig()
     omega_a = system.omega_a
     omega_b = angular_frequency(resonance_wavelength_b)
@@ -222,14 +204,15 @@ def nonresonant_force(
         return zeta**4 * kappa_a * alpha_b * contract
 
     zeta_max = cfg.tail_cutoff_decades * c / (2.0 * system.separation)
-    fvec, _ = quad_vec(
+    fvec = _quad_vec(
         integrand,
         0.0,
         zeta_max,
-        epsabs=0.0,
-        epsrel=min(cfg.rel_tol, 1e-10),
-        limit=max(cfg.max_subdivisions, 200),
-        norm="max",
+        QuadratureConfig(
+            rel_tol=min(cfg.rel_tol, 1e-10),
+            abs_tol=0.0,
+            max_subdivisions=max(cfg.max_subdivisions, 200),
+        ),
     )
     return hbar * mu_0**2 / math.pi * fvec
 

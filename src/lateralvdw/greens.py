@@ -9,7 +9,6 @@ sub-wavelength separations where SI intermediates get small.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -45,21 +44,17 @@ def _shape_coefficients(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _separation(r_from, r_to) -> tuple[np.ndarray, float]:
-    rr = np.asarray(r_from, dtype=float) - np.asarray(r_to, dtype=float)
-    dist = float(np.linalg.norm(rr))
-    if dist == 0.0:
-        raise ValueError("Green's tensor requires two distinct points")
-    return rr, dist
+def _check_positive(name: str, value: float) -> None:
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _displacements(r_from, r_to, omega: float) -> tuple:
+def _displacements(r_from, r_to, omega: complex) -> tuple:
     """Flattened rows of r_from - r_to: leading shape, distances, unit vectors, xi.
 
     Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
+    A complex omega gives a complex xi.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
     rr = np.asarray(r_from, dtype=float) - np.asarray(r_to, dtype=float)
     lead = rr.shape[:-1]
     rr = rr.reshape(-1, 3)
@@ -69,12 +64,14 @@ def _displacements(r_from, r_to, omega: float) -> tuple:
     return lead, dist, rr / dist[:, None], omega * dist / c
 
 
-def greens_free(r_from, r_to, omega: float) -> np.ndarray:
-    """Free-space dyadic Green's tensor G(r_from, r_to, omega), units 1/m.
+# The two kernels below take omega on the real axis or, for the
+# imaginary-frequency forms, at omega = i zeta.  There xi = i eta and every
+# coefficient continues term by term: a = 1 + 1/eta + 1/eta^2, the phase
+# e^{i xi} becomes e^{-eta}, and the tensors come out real (the standard
+# Lifshitz / Casimir-Polder rotation).
 
-    Points of shape (3,) give a (3, 3) tensor; stacked points of shape
-    (N, 3) give the (N, 3, 3) stack of per-row tensors.
-    """
+
+def _greens(r_from, r_to, omega: complex) -> np.ndarray:
     lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     a, b = _shape_coefficients(xi)
     scale = np.exp(1j * xi) / (4.0 * math.pi * dist)
@@ -83,12 +80,7 @@ def greens_free(r_from, r_to, omega: float) -> np.ndarray:
     return tensor.reshape(lead + (3, 3))
 
 
-def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
-    """Gradient of greens_free with respect to r_from.
-
-    Returns grad[..., k, i, j] = d G_ij / d r_from[k], units 1/m^2: shape
-    (3, 3, 3) for single points and (N, 3, 3, 3) for (N, 3) stacks.
-    """
+def _greens_gradient(r_from, r_to, omega: complex) -> np.ndarray:
     lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     inv = 1.0 / xi
     phase = np.exp(1j * xi)
@@ -111,35 +103,62 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     return grad.reshape(lead + (3, 3, 3))
 
 
-def greens_cylindrical_mode(delta_r, omega: float, k_par: float, phi: float) -> np.ndarray:
+def greens_free(r_from, r_to, omega: float) -> np.ndarray:
+    """Free-space dyadic Green's tensor G(r_from, r_to, omega), units 1/m.
+
+    Points of shape (3,) give a (3, 3) tensor; stacked points of shape
+    (N, 3) give the (N, 3, 3) stack of per-row tensors.
+    """
+    _check_positive("omega", omega)
+    return _greens(r_from, r_to, omega)
+
+
+def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
+    """Gradient of greens_free with respect to r_from.
+
+    Returns grad[..., k, i, j] = d G_ij / d r_from[k], units 1/m^2: shape
+    (3, 3, 3) for single points and (N, 3, 3, 3) for (N, 3) stacks.
+    """
+    _check_positive("omega", omega)
+    return _greens_gradient(r_from, r_to, omega)
+
+
+def _mode_tensors(dx: float, dy: float, dz: float, omega: float, k_par: float,
+                  k_perp: complex, phi: float | np.ndarray) -> np.ndarray:
+    """Mode tensor density at azimuth phi: (3, 3) for a float, (P, 3, 3) for (P,).
+
+    k_perp is taken as given, so an integrator can pass k cos(theta) on the
+    propagating side instead of a square root that cancels near the light line.
+    """
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    kvec = np.empty(np.shape(phi) + (3,), dtype=complex)
+    kvec[..., 0] = k_par * cos_p
+    kvec[..., 1] = k_par * sin_p
+    kvec[..., 2] = math.copysign(1.0, dz) * k_perp
+    phase = np.exp(1j * (k_par * (dx * cos_p + dy * sin_p) + k_perp * abs(dz)))
+    tensor = _EYE - (c / omega) ** 2 * kvec[..., :, None] * kvec[..., None, :]
+    return (1j / (8.0 * math.pi**2 * k_perp) * phase)[..., None, None] * tensor
+
+
+def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
+                            phi: float | np.ndarray) -> np.ndarray:
     """Tensor density of the lateral-momentum resolution of greens_free.
 
     Integrating the result against k_par dk_par dphi over [0, inf) x
     [0, 2 pi) reproduces the closed-form tensor for the same displacement.
     ``delta_r`` is r_from - r_to and must have a nonzero z component, since
     the plane-wave factorisation exp(i k_perp |dz|) assumes the observation
-    plane does not contain the source.
+    plane does not contain the source.  A float phi gives a (3, 3) tensor;
+    an array of P azimuths gives the (P, 3, 3) stack.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_positive("omega", omega)
     if k_par < 0.0:
         raise ValueError(f"k_par must be nonnegative, got {k_par}")
-    dr = np.asarray(delta_r, dtype=float)
-    dx, dy, dz = dr
+    dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:
         raise ValueError("cylindrical mode tensor requires a nonzero z displacement")
-
     k_perp = transverse_wavenumber(k_par, omega)
-    kvec = np.array(
-        [k_par * math.cos(phi), k_par * math.sin(phi), math.copysign(1.0, dz) * k_perp],
-        dtype=complex,
-    )
-    phase = cmath.exp(
-        1j * (k_par * (dx * math.cos(phi) + dy * math.sin(phi)) + k_perp * abs(dz))
-    )
-    csq = (c / omega) ** 2
-    tensor = _EYE - csq * np.outer(kvec, kvec)
-    return (1j / (8.0 * math.pi**2 * k_perp)) * phase * tensor
+    return _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phi)
 
 
 def born_expanded_greens(r, r_prime, r_scatter, omega: float, alpha_b: float) -> np.ndarray:
@@ -166,7 +185,8 @@ def greens_free_from_modes(delta_r, omega: float,
 
     def ring(k_par: float) -> np.ndarray:
         return integrate_angle(
-            lambda phi: greens_cylindrical_mode(dr, omega, k_par, phi).ravel(), config
+            lambda phis: greens_cylindrical_mode(dr, omega, k_par, phis).reshape(-1, 9),
+            config,
         )
 
     def integrand(k_par: float, _k_perp: complex) -> np.ndarray:
@@ -177,46 +197,13 @@ def greens_free_from_modes(delta_r, omega: float,
     return total.reshape(3, 3)
 
 
-def _imag_freq_shapes(eta: float) -> tuple[float, float]:
-    inv = 1.0 / eta
-    a = 1.0 + inv + inv * inv
-    b = -1.0 - 3.0 * inv - 3.0 * inv * inv
-    return a, b
-
-
 def greens_free_imag(r_from, r_to, zeta: float) -> np.ndarray:
     """Green's tensor at imaginary frequency omega = i zeta; real, 1/m."""
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    rr, dist = _separation(r_from, r_to)
-    unit = rr / dist
-    eta = zeta * dist / c
-    a, b = _imag_freq_shapes(eta)
-    scale = math.exp(-eta) / (4.0 * math.pi * dist)
-    return scale * (a * _EYE + b * np.outer(unit, unit))
+    _check_positive("zeta", zeta)
+    return _greens(r_from, r_to, 1j * zeta).real
 
 
 def greens_free_gradient_imag(r_from, r_to, zeta: float) -> np.ndarray:
     """Gradient of greens_free_imag with respect to r_from; grad[k, i, j]."""
-    if zeta <= 0.0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
-    rr, dist = _separation(r_from, r_to)
-    unit = rr / dist
-    eta = zeta * dist / c
-    inv = 1.0 / eta
-    _, b = _imag_freq_shapes(eta)
-    da = -eta - 2.0 - 3.0 * inv - 3.0 * inv * inv
-    db = eta + 4.0 + 9.0 * inv + 9.0 * inv * inv
-
-    decay = math.exp(-eta)
-    s2 = decay / (4.0 * math.pi * dist * dist)
-    b_over_r = decay * b / (4.0 * math.pi * dist * dist)
-
-    uu = np.outer(unit, unit)
-    grad = np.empty((3, 3, 3))
-    for k in range(3):
-        term = s2 * unit[k] * (da * _EYE + db * uu)
-        ek = _EYE[k]
-        proj = np.outer(ek - unit[k] * unit, unit)
-        grad[k] = term + b_over_r * (proj + proj.T)
-    return grad
+    _check_positive("zeta", zeta)
+    return _greens_gradient(r_from, r_to, 1j * zeta).real

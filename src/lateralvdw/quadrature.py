@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import quad_vec
 
 from .constants import c
 
@@ -80,27 +80,9 @@ def transverse_wavenumber(k_par: float, omega: float) -> complex:
     return out
 
 
-def _quad_complex(g: Callable[[float], complex], a: float, b: float,
-                  cfg: QuadratureConfig) -> complex:
-    parts = []
-    for pick in (lambda z: z.real, lambda z: z.imag):
-        out = quad(
-            lambda t: pick(complex(g(t))),
-            a,
-            b,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            full_output=1,
-        )
-        if len(out) > 3:
-            raise QuadratureConvergenceError(str(out[3]), out[1])
-        parts.append(out[0])
-    return complex(parts[0], parts[1])
-
-
-def _quad_array(g: Callable[[float], np.ndarray], a: float, b: float,
-                cfg: QuadratureConfig) -> np.ndarray:
+def _quad_vec(g: Callable[[float], complex | np.ndarray], a: float, b: float,
+              cfg: QuadratureConfig) -> complex | np.ndarray:
+    """Adaptive integral of a scalar or array integrand, shared error control."""
     res, err = quad_vec(
         g,
         a,
@@ -112,7 +94,7 @@ def _quad_array(g: Callable[[float], np.ndarray], a: float, b: float,
     )
     scale = np.max(np.abs(res))
     if err > 10.0 * max(cfg.abs_tol, cfg.rel_tol * scale) and err > 1e-13 * scale:
-        raise QuadratureConvergenceError("lateral-momentum integral did not converge", err)
+        raise QuadratureConvergenceError("adaptive integral did not converge", err)
     return res
 
 
@@ -129,17 +111,12 @@ def integrate_propagating(f, omega: float, config: QuadratureConfig | None = Non
         raise ValueError(f"omega must be positive, got {omega}")
     k = omega / c
 
-    probe = f(0.5 * k, transverse_wavenumber(0.5 * k, omega))
-    vector = isinstance(probe, np.ndarray)
-
     def g(theta):
         k_par = k * math.sin(theta)
         k_perp = k * math.cos(theta)
         return f(k_par, complex(k_perp, 0.0)) * (k * math.cos(theta))
 
-    if vector:
-        return _quad_array(g, 0.0, 0.5 * math.pi, cfg)
-    return _quad_complex(g, 0.0, 0.5 * math.pi, cfg)
+    return _quad_vec(g, 0.0, 0.5 * math.pi, cfg)
 
 
 def integrate_evanescent(f, omega: float, distance: float,
@@ -159,17 +136,12 @@ def integrate_evanescent(f, omega: float, distance: float,
     k = omega / c
     u_max = math.asinh(cfg.tail_cutoff_decades / (k * distance))
 
-    probe = f(2.0 * k, transverse_wavenumber(2.0 * k, omega))
-    vector = isinstance(probe, np.ndarray)
-
     def g(u):
         k_par = k * math.cosh(u)
         kappa = k * math.sinh(u)
         return f(k_par, complex(0.0, kappa)) * (k * math.sinh(u))
 
-    if vector:
-        return _quad_array(g, 0.0, u_max, cfg)
-    return _quad_complex(g, 0.0, u_max, cfg)
+    return _quad_vec(g, 0.0, u_max, cfg)
 
 
 def integrate_angle(f, config: QuadratureConfig | None = None):
@@ -178,16 +150,18 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
     Uses the trapezoid rule on an equispaced grid with doubling refinement;
     for periodic integrands the rule is spectrally accurate, so successive
     levels give a sharp error estimate (the Richardson comparison).  The
-    integrand may return scalars or ndarrays.
+    integrand is called once per level with the array of that level's
+    azimuths and returns values with a leading axis over them: shape (P,)
+    for a scalar integrand, (P, ...) for an array one.  A scalar integrand
+    gives a float, or a complex when the imaginary part is nonzero.
     """
     cfg = config or _DEFAULT
     two_pi = 2.0 * math.pi
     n = 16
-    values = [np.asarray(f(two_pi * j / n)) for j in range(n)]
-    total = sum(values) * (two_pi / n)
+    total = np.sum(f(two_pi * np.arange(n) / n), axis=0) * (two_pi / n)
     while n <= (1 << 16):
-        mid = [np.asarray(f(two_pi * (j + 0.5) / n)) for j in range(n)]
-        refined = 0.5 * total + sum(mid) * (two_pi / (2 * n))
+        mid = np.sum(f(two_pi * (np.arange(n) + 0.5) / n), axis=0)
+        refined = 0.5 * total + mid * (two_pi / (2 * n))
         delta = float(np.max(np.abs(refined - total)))
         scale = float(np.max(np.abs(refined)))
         total, n = refined, 2 * n

@@ -9,7 +9,8 @@ effects single out the x direction and the azimuth phi is measured from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .constants import (
     RUBIDIUM_POLARIZABILITY,
     angular_frequency,
     c,
+    epsilon_0,
 )
 
 __all__ = ["TwoAtomSystem", "circular_dipole", "circular_dipole_parameters"]
@@ -115,6 +117,16 @@ class TwoAtomSystem:
             raise ValueError(f"alpha_b must be positive, got {self.alpha_b}")
         if not self.mass_a > 0.0:
             raise ValueError(f"mass_a must be positive, got {self.mass_a}")
+        # Every closed form carries this scale; past the float range it
+        # would turn into inf/nan forces and rows instead of an error.
+        with np.errstate(all="ignore"):
+            scale = _closed_form_scale(self)
+        usable = np.isfinite(scale) & (scale != 0.0)
+        if not usable.all():
+            raise ValueError(
+                "closed-form scale d^2 alpha_B / (8 pi^2 eps0^2 r^7) is "
+                f"{float(np.asarray(scale)[~usable].flat[0])}, outside the float range"
+            )
 
     @classmethod
     def cs_rb(
@@ -154,3 +166,16 @@ class TwoAtomSystem:
     def circular_parameters(self) -> tuple[float, float]:
         """(d, handedness sign) of the circular dipole; raises if not circular."""
         return circular_dipole_parameters(self.dipole_a)
+
+
+def _closed_form_scale(system: TwoAtomSystem) -> float | np.ndarray:
+    """d^2 alpha_B / (8 pi^2 eps0^2 r^7) in newtons, with d^2 = |d|^2 / 2.
+
+    For the circular dipole d (i, 0, 1) this is d^2 exactly; one value per
+    separation for an array of separations.
+    """
+    dsq = np.vdot(system.dipole_a, system.dipole_a).real / 2.0
+    # numpy power, so an out-of-range float separation overflows to inf
+    # (caught by the construction check) where float ** would raise.
+    r7 = np.float64(system.separation) ** 7
+    return dsq * system.alpha_b / (8.0 * math.pi**2 * epsilon_0**2 * r7)

@@ -11,13 +11,14 @@ what the CLI ``validate`` verb serialises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import c
 from .emission import (
     near_field_recoil_rate,
+    recoil_rate,
     recoil_rate_prefactor,
     recoil_rate_profile,
     spectrum_coefficients,
@@ -57,14 +58,12 @@ def _check(name, err, tol, detail=""):
 
 def _bracket_identity_error(f3_scale: float) -> float:
     xis = np.linspace(0.05, 30.0, 240)
-    worst = 0.0
-    for xi in xis:
-        _, _, f3 = spectrum_coefficients(float(xi))
-        lhs = lateral_force_shape(float(xi))
-        rhs = -f3 * f3_scale / 8.0
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    lhs = lateral_force_shape(xis)
+    # spectrum_coefficients is scalar: its Bessel functions take one xi.
+    f3 = np.array([spectrum_coefficients(float(xi)).f3 for xi in xis])
+    rhs = -f3 * f3_scale / 8.0
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+    return float(np.max(np.abs(lhs - rhs) / scale))
 
 
 def _recoil_identity_error(system: TwoAtomSystem, cfg: QuadratureConfig, f3_scale: float) -> float:
@@ -98,39 +97,21 @@ def _decomposition_error(system: TwoAtomSystem, cfg: QuadratureConfig) -> float:
 
 
 def _near_field_error(system: TwoAtomSystem) -> float:
-    near_sys = TwoAtomSystem(
-        omega_a=system.omega_a,
-        dipole_a=system.dipole_a,
-        alpha_b=system.alpha_b,
-        separation=1e-3 * c / system.omega_a,
-        mass_a=system.mass_a,
-    )
-    pref = recoil_rate_prefactor(near_sys)
-    f1, f2, f3 = spectrum_coefficients(near_sys.xi)
-    _, hand = near_sys.circular_parameters()
+    near_sys = replace(system, separation=1e-3 * c / system.omega_a)
     worst = 0.0
     for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
-        full = pref * (f1 + f2 * math.cos(2 * phi) + hand * f3 * math.cos(phi))
+        full = recoil_rate(near_sys, phi)
         approx = near_field_recoil_rate(near_sys, phi)
         worst = max(worst, abs(full - approx) / abs(full))
     return worst
 
 
 def _ground_atom_lateral_error(system: TwoAtomSystem) -> float:
-    worst = 0.0
-    for r in np.geomspace(100e-9, 5e-6, 25):
-        probe = TwoAtomSystem(
-            omega_a=system.omega_a,
-            dipole_a=system.dipole_a,
-            alpha_b=system.alpha_b,
-            separation=float(r),
-            mass_a=system.mass_a,
-        )
-        force_b = resonant_force_on_b(probe, 1.0).force
-        force_a = resonant_force_on_a(probe, 1.0).force
-        lateral = max(abs(force_b[0]), abs(force_b[1]))
-        worst = max(worst, lateral / abs(force_a[0]))
-    return worst
+    probe = replace(system, separation=np.geomspace(100e-9, 5e-6, 25))
+    force_b = resonant_force_on_b(probe, 1.0).force
+    force_a = resonant_force_on_a(probe, 1.0).force
+    lateral = np.max(np.abs(force_b[:, :2]), axis=1)
+    return float(np.max(lateral / np.abs(force_a[:, 0])))
 
 
 def run_identity_checks(

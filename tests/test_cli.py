@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +236,13 @@ def test_config_file_applies_and_flags_win(tmp_path, monkeypatch):
     assert len(body) == 2
 
 
+def test_readme_key_list_matches_run_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Recognised keys:", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(\w+)`", paragraph)
+    assert documented == [field.name for field in fields(cli.RunConfig)]
+
+
 def test_config_errors_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.cfg"
@@ -265,6 +275,11 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         (["velocity"], "alpha_b = 0\n"),
         (["validate"], "alpha_b = 0\n"),
         (["emission-spectrum"], "wavelength = nan\n"),
+        # r**7 underflows: the closed-form scale would be inf, the rows nan/inf.
+        (["velocity", "--r-min", "1e-60", "--r-max", "1e-59", "--points", "2"], None),
+        (["force-curve", "--r-min", "1e-60", "--r-max", "1e-59", "--points", "2"], None),
+        # d^2 overflows.
+        (["force-curve"], "dipole_moment = 1e200\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(

@@ -78,6 +78,20 @@ def test_profile_agrees_with_pointwise_quadrature():
     assert rates[3] == pytest.approx(single, rel=1e-9)
 
 
+def test_pointwise_quadrature_reaches_requested_precision():
+    # One adaptive pass over the real density; asked for 1e-11, it must land
+    # within 1e-10 of the spectrum scale across the oracle range of xi.
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-30)
+    for xi in np.geomspace(0.3, 20.0, 25):
+        system = system_at_xi(float(xi))
+        scale = recoil_rate_prefactor(system) * sum(
+            abs(f) for f in spectrum_coefficients(system.xi)
+        )
+        for phi in np.linspace(0.0, math.pi, 5):
+            quadrature = recoil_rate_quadrature(system, float(phi), cfg)
+            assert abs(quadrature - recoil_rate(system, phi)) <= 1e-10 * scale
+
+
 def test_profile_mirror_symmetry():
     system = system_at_xi(2.0)
     phis, rates = recoil_rate_profile(system, n_phi=16)

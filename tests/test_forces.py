@@ -261,8 +261,6 @@ def test_nonresonant_force_domain_errors():
     system = system_at_xi(0.5)
     with pytest.raises(ValueError):
         nonresonant_force(system, resonance_wavelength_b=900e-9)
-    with pytest.raises(NotImplementedError):
-        nonresonant_force(system, two_level_model=False)
 
 
 def test_torque_direction_and_magnitude():

@@ -206,3 +206,55 @@ def test_imaginary_frequency_gradient_matches_finite_differences(rng):
             ) / (2.0 * h)
         scale = np.max(np.abs(analytic))
         assert np.max(np.abs(analytic - numeric)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 1.0, 7.0, 40.0])
+def test_imaginary_frequency_forms_are_the_continued_kernel(eta: float):
+    # At omega = i zeta the kernel must reduce to the explicit real forms in
+    # eta = zeta r / c: a = 1 + 1/eta + 1/eta^2, b = -1 - 3/eta - 3/eta^2,
+    # radial derivatives da = -eta - 2 - 3/eta - 3/eta^2 and
+    # db = eta + 4 + 9/eta + 9/eta^2, decay e^{-eta}.
+    dist = 400e-9
+    unit = np.array([0.36, -0.48, 0.8])
+    zeta = eta * c / dist
+    inv = 1.0 / eta
+    a = 1.0 + inv + inv * inv
+    b = -1.0 - 3.0 * inv - 3.0 * inv * inv
+    da = -eta - 2.0 - 3.0 * inv - 3.0 * inv * inv
+    db = eta + 4.0 + 9.0 * inv + 9.0 * inv * inv
+    decay = math.exp(-eta)
+    uu = np.outer(unit, unit)
+    tensor = decay / (4.0 * math.pi * dist) * (a * np.eye(3) + b * uu)
+    proj = np.einsum("ki,j->kij", np.eye(3) - uu, unit)
+    grad = decay / (4.0 * math.pi * dist * dist) * (
+        np.einsum("k,ij->kij", unit, da * np.eye(3) + db * uu)
+        + b * (proj + proj.swapaxes(1, 2))
+    )
+
+    got = greens_free_imag(dist * unit, np.zeros(3), zeta)
+    got_grad = greens_free_gradient_imag(dist * unit, np.zeros(3), zeta)
+    assert got.dtype == got_grad.dtype == np.float64
+    assert np.max(np.abs(got - tensor)) <= 1e-14 * np.max(np.abs(tensor))
+    assert np.max(np.abs(got_grad - grad)) <= 1e-14 * np.max(np.abs(grad))
+
+
+def test_imaginary_frequency_forms_reject_nonpositive_zeta():
+    r = np.array([0.0, 0.0, 1e-7])
+    for zeta in (0.0, -OMEGA):
+        with pytest.raises(ValueError):
+            greens_free_imag(np.zeros(3), r, zeta)
+        with pytest.raises(ValueError):
+            greens_free_gradient_imag(np.zeros(3), r, zeta)
+
+
+@pytest.mark.parametrize("k_ratio", [0.0, 0.4, 0.99, 2.5])
+def test_mode_tensor_over_phi_array_matches_per_phi_calls(k_ratio: float):
+    delta = np.array([0.3, -0.2, -0.8]) * WAVELENGTH
+    k_par = k_ratio * OMEGA / c
+    phis = np.linspace(0.0, 2.0 * math.pi, 13)
+    stacked = greens_cylindrical_mode(delta, OMEGA, k_par, phis)
+    assert stacked.shape == (13, 3, 3)
+    for phi, tensor in zip(phis, stacked):
+        single = greens_cylindrical_mode(delta, OMEGA, k_par, float(phi))
+        assert single.shape == (3, 3)
+        assert np.max(np.abs(tensor - single)) <= 1e-14 * np.max(np.abs(single))
