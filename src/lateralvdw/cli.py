@@ -41,9 +41,8 @@ from .constants import (
 from .dynamics import DrivingParams, steady_state_population
 from .emission import emission_spectrum
 from .forces import lateral_force_closed_form, resonant_force_on_a, resonant_force_on_b
-from .quadrature import QuadratureConfig
 from .system import TwoAtomSystem
-from .validation import run_identity_checks
+from .validation import _IDENTITY_QUADRATURE, run_identity_checks
 
 
 class ConfigError(ValueError):
@@ -188,10 +187,13 @@ def _resolve_population(config: RunConfig, verb: str) -> float:
     if config.p1 is not None:
         return config.p1
     if config.rabi_over_detuning is not None:
-        ratio = config.rabi_over_detuning
-        if ratio <= 0.0:
+        if config.rabi_over_detuning <= 0.0:
             raise ConfigError("rabi_over_detuning must be positive")
-        return min(0.25 * ratio * ratio, 1.0)
+        # The population depends on the ratio alone, so a unit detuning carries it.
+        drive = DrivingParams(
+            rabi=config.rabi_over_detuning, detuning=1.0, duration=config.delta_t
+        )
+        return steady_state_population(drive)
     if config.rabi is not None or config.detuning is not None:
         if config.rabi is None or config.detuning is None:
             raise ConfigError("rabi and detuning must be given together")
@@ -386,12 +388,10 @@ def cmd_velocity(config: RunConfig) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    quad = None
-    if config.quad_rel_tol is not None or config.quad_abs_tol is not None:
-        quad = QuadratureConfig(
-            rel_tol=config.quad_rel_tol if config.quad_rel_tol is not None else 1e-10,
-            abs_tol=config.quad_abs_tol if config.quad_abs_tol is not None else 1e-30,
-        )
+    tolerances = {"rel_tol": config.quad_rel_tol, "abs_tol": config.quad_abs_tol}
+    quad = replace(
+        _IDENTITY_QUADRATURE, **{k: v for k, v in tolerances.items() if v is not None}
+    )
     checks = run_identity_checks(
         _system_at(config, config.r), config=quad, f3_scale=config.f3_scale
     )

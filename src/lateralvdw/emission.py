@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import hbar, mu_0
+from .forces import lateral_force_shape
 from .greens import _mode_tensors, greens_free
 from .quadrature import (
     QuadratureConfig,
@@ -49,9 +50,9 @@ __all__ = [
 
 
 class SpectrumCoefficients(NamedTuple):
-    f1: float
-    f2: float
-    f3: float
+    f1: float | np.ndarray
+    f2: float | np.ndarray
+    f3: float | np.ndarray
 
 
 @dataclass
@@ -66,19 +67,20 @@ class EmissionSpectrum:
     f3: float
 
 
-def spectrum_coefficients(xi: float) -> SpectrumCoefficients:
+def spectrum_coefficients(xi: float | np.ndarray) -> SpectrumCoefficients:
     """Dimensionless azimuthal Fourier coefficients (f1, f2, f3) of R.
 
     f1 is the isotropic part, f2 the cos(2 phi) part fixed by the x-z
     dipole plane, and f3 the cos(phi) part that carries the lateral
-    asymmetry; f1 and f2 involve Bessel functions of xi while f3 is purely
-    trigonometric.
+    asymmetry; f1 and f2 involve Bessel functions of xi while f3 is -8
+    times the lateral force shape.  A float xi gives floats; an array of
+    xi gives arrays, bit for bit the scalar values.
     """
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    f3 = -8.0 * lateral_force_shape(xi)
+    xi = np.asarray(xi, dtype=float)
     j1, j2 = bessel_j(1, xi), bessel_j(2, xi)
     y1, y2 = bessel_y(1, xi), bessel_y(2, xi)
-    sin, cos = math.sin(xi), math.cos(xi)
+    sin, cos = np.sin(xi), np.cos(xi)
     xi2 = xi * xi
 
     f1 = (
@@ -100,11 +102,9 @@ def spectrum_coefficients(xi: float) -> SpectrumCoefficients:
             + y2 * (xi * (xi * sin + cos) - sin)
         )
     )
-    # numpy trigonometry, as in forces.lateral_force_shape, so that
-    # f3 == -8 * shape holds bit for bit for scalar and array shapes alike.
-    sin2, cos2 = np.sin(2.0 * xi), np.cos(2.0 * xi)
-    f3 = 48.0 * xi * (xi2 - 3.0) * cos2 + 8.0 * (9.0 - 15.0 * xi2 + xi2 * xi2) * sin2
-    return SpectrumCoefficients(f1, f2, float(f3))
+    if xi.ndim == 0:
+        f1, f2 = float(f1), float(f2)
+    return SpectrumCoefficients(f1, f2, f3)
 
 
 def recoil_rate_prefactor(system: TwoAtomSystem) -> float:

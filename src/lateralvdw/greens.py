@@ -158,6 +158,8 @@ def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
     if dz == 0.0:
         raise ValueError("cylindrical mode tensor requires a nonzero z displacement")
     k_perp = transverse_wavenumber(k_par, omega)
+    if k_perp == 0.0:
+        raise ValueError("mode tensor is singular on the light line k_par = omega/c")
     return _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phi)
 
 

@@ -1,117 +1,46 @@
 """Bessel functions J_n, Y_n and the outgoing Hankel function H_n^(1).
 
-Only low integer orders on the positive real axis are supported, which is
-all the emission closed forms need.  Evaluation switches between an
-ascending power series (x <= 12, where double-precision cancellation is
-still mild) and the large-argument Hankel asymptotic series truncated at
-its smallest term (x > 12, where that truncation error is below 1e-11).
-Both branches agree to better than 1e-9 across an overlap window around
-the switch point, which the test suite checks explicitly.
+A checked wrapper over ``scipy.special.jv``/``yv`` (DLMF chapter 10) for
+the low integer orders on the positive real axis that the emission closed
+forms need.  A float argument gives a float; an array gives an array.
 """
 
-import math
-
 import numpy as np
+from scipy import special
 
-__all__ = ["bessel_j", "bessel_y", "hankel1", "SERIES_ASYMPTOTIC_SPLIT"]
-
-SERIES_ASYMPTOTIC_SPLIT = 12.0
+__all__ = ["bessel_j", "bessel_y", "hankel1"]
 
 _ORDERS = (0, 1, 2, 3)
-_MAX_SERIES_TERMS = 120
-_EULER_GAMMA = float(np.euler_gamma)
 
 
-def _validate(order: int, x: float) -> None:
+def _checked_argument(order: int, x) -> np.ndarray:
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValueError(f"argument must be a finite real number, got {x!r}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
+    try:
+        values = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"argument must be a finite real number, got {x!r}") from None
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        raise ValueError(f"argument must be finite and positive, got {values[bad].flat[0]}")
+    return values
 
 
-def _j_series(order: int, x: float) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)
-    q = 0.25 * x * x
-    term = (0.5 * x) ** order / math.factorial(order)
-    total = term
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * (k + order))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 5e-324:
-            return total
-    raise RuntimeError(f"J series failed to converge at x={x}")
+def _float_or_array(values) -> float | np.ndarray:
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def _y_series(order: int, x: float) -> float:
-    # Ascending series with the explicit logarithmic term:
-    # Y_n = (2/pi) ln(x/2) J_n
-    #       - (1/pi) sum_{k<n} (n-k-1)!/k! (x/2)^(2k-n)
-    #       - (1/pi) sum_k (-1)^k [psi(k+1)+psi(n+k+1)] (x/2)^(n+2k)/(k!(n+k)!)
-    half = 0.5 * x
-    q = half * half
-    total = (2.0 / math.pi) * math.log(half) * _j_series(order, x)
-
-    if order > 0:
-        finite = 0.0
-        for k in range(order):
-            finite += (
-                math.factorial(order - k - 1) / math.factorial(k) * half ** (2 * k - order)
-            )
-        total -= finite / math.pi
-
-    # psi(m) = -gamma + H_{m-1}; track both harmonic sums incrementally.
-    psi_a = -_EULER_GAMMA
-    psi_b = -_EULER_GAMMA + sum(1.0 / j for j in range(1, order + 1))
-    term = half**order / math.factorial(order)
-    total -= term * (psi_a + psi_b) / math.pi
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * (k + order))
-        psi_a += 1.0 / k
-        psi_b += 1.0 / (k + order)
-        contrib = term * (psi_a + psi_b) / math.pi
-        total -= contrib
-        if abs(contrib) < 1e-18 * abs(total) + 5e-324:
-            return total
-    raise RuntimeError(f"Y series failed to converge at x={x}")
-
-
-def _jy_asymptotic(order: int, x: float) -> tuple[float, float]:
-    # H_n^(1)(x) ~ sqrt(2/(pi x)) e^{i chi} sum_k i^k a_k(n) / x^k with
-    # chi = x - (2n+1) pi/4; the divergent sum is cut at its smallest term.
-    mu = 4 * order * order
-    coeff = 1.0 + 0.0j
-    total = coeff
-    for k in range(60):
-        nxt = coeff * 1j * (mu - (2 * k + 1) ** 2) / (8.0 * x * (k + 1))
-        if abs(nxt) >= abs(coeff):
-            break
-        coeff = nxt
-        total += coeff
-        if abs(coeff) < 1e-18 * abs(total):
-            break
-    chi = x - (2 * order + 1) * math.pi / 4.0
-    h = math.sqrt(2.0 / (math.pi * x)) * complex(math.cos(chi), math.sin(chi)) * total
-    return h.real, h.imag
-
-
-def bessel_j(order: int, x: float) -> float:
+def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the first kind, integer order 0..3, x > 0."""
-    _validate(order, x)
-    if x <= SERIES_ASYMPTOTIC_SPLIT:
-        return _j_series(order, x)
-    return _jy_asymptotic(order, x)[0]
+    return _float_or_array(special.jv(order, _checked_argument(order, x)))
 
 
-def bessel_y(order: int, x: float) -> float:
+def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind, integer order 0..3, x > 0."""
-    _validate(order, x)
-    if x <= SERIES_ASYMPTOTIC_SPLIT:
-        return _y_series(order, x)
-    return _jy_asymptotic(order, x)[1]
+    return _float_or_array(special.yv(order, _checked_argument(order, x)))
 
 
-def hankel1(order: int, x: float) -> complex:
+def hankel1(order: int, x: float | np.ndarray) -> complex | np.ndarray:
     """Outgoing Hankel function H_n^(1)(x) = J_n(x) + i Y_n(x)."""
-    return complex(bessel_j(order, x), bessel_y(order, x))
+    j, y = bessel_j(order, x), bessel_y(order, x)
+    return complex(j, y) if np.ndim(j) == 0 else j + 1j * y

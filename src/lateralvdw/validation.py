@@ -34,6 +34,9 @@ from .system import TwoAtomSystem
 
 __all__ = ["IdentityCheck", "run_identity_checks"]
 
+# Quadrature settings of the identity checks; the CLI overrides single fields.
+_IDENTITY_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-30)
+
 
 @dataclass
 class IdentityCheck:
@@ -59,9 +62,7 @@ def _check(name, err, tol, detail=""):
 def _bracket_identity_error(f3_scale: float) -> float:
     xis = np.linspace(0.05, 30.0, 240)
     lhs = lateral_force_shape(xis)
-    # spectrum_coefficients is scalar: its Bessel functions take one xi.
-    f3 = np.array([spectrum_coefficients(float(xi)).f3 for xi in xis])
-    rhs = -f3 * f3_scale / 8.0
+    rhs = -spectrum_coefficients(xis).f3 * f3_scale / 8.0
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     return float(np.max(np.abs(lhs - rhs) / scale))
 
@@ -126,7 +127,7 @@ def run_identity_checks(
     (and the bracket identity) out of tolerance.
     """
     system = system or TwoAtomSystem.cs_rb(632e-9)
-    cfg = config or QuadratureConfig(rel_tol=1e-10, abs_tol=1e-30)
+    cfg = config or _IDENTITY_QUADRATURE
 
     checks = [
         _check(

@@ -317,6 +317,47 @@ def test_validate_checks_the_configured_system(tmp_path, monkeypatch):
     assert meta["r"] == "5e-07"
 
 
+def test_validate_overrides_only_the_configured_quadrature_fields(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    received = []
+
+    def fake_checks(system, config=None, f3_scale=1.0):
+        received.append(config)
+        return [IdentityCheck("stub", 0.0, 1.0, True)]
+
+    monkeypatch.setattr(cli, "run_identity_checks", fake_checks)
+    (tmp_path / "run.cfg").write_text("quad_abs_tol = 1e-25\n")
+    assert main(["validate", "--no-timestamp"]) == 0
+    assert main(["validate", "--config", "run.cfg", "--no-timestamp"]) == 0
+    default, overridden = received
+    assert (default.rel_tol, default.abs_tol) == (1e-10, 1e-30)
+    assert (overridden.rel_tol, overridden.abs_tol) == (1e-10, 1e-25)
+
+
+@pytest.mark.parametrize("ratio, p1", [(0.3, 0.25 * 0.3 * 0.3), (3.0, 1.0)])
+def test_rabi_over_detuning_sets_weak_drive_population(tmp_path, monkeypatch, ratio, p1):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"rabi_over_detuning = {ratio!r}\n")
+    args = ["velocity", "--points", "1", "--config", "run.cfg", "--no-timestamp"]
+    assert main(args) == 0
+    meta, _, _ = read_table(tmp_path / "velocity.csv")
+    assert float(meta["p1"]) == p1
+
+
+def test_force_curve_resolves_picometre_separations(tmp_path, monkeypatch):
+    # At r = 1 pm the lateral shape is ~1e-25; the closed form's trigonometric
+    # cancellation used to round it to 0.
+    monkeypatch.chdir(tmp_path)
+    args = ["force-curve", "--r-min", "1e-12", "--r-max", "1e-9", "--log-scale",
+            "--points", "7", "--no-timestamp"]
+    assert main(args) == 0
+    _, header, body = read_table(tmp_path / "force_curve.csv")
+    r, f_x = column(header, body, "r"), column(header, body, "F_x")
+    expected = lateral_force_closed_form(TwoAtomSystem.cs_rb(r), 1.0)
+    assert np.all(f_x < 0.0)
+    assert np.array_equal(f_x, expected)
+
+
 def test_left_handed_validate_passes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["validate", "--handedness", "left", "--no-timestamp"]) == 0

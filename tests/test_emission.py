@@ -57,6 +57,18 @@ def test_coefficient_special_value_at_half_pi():
 def test_coefficients_reject_nonpositive_xi():
     with pytest.raises(ValueError):
         spectrum_coefficients(0.0)
+    with pytest.raises(ValueError):
+        spectrum_coefficients(np.array([0.5, 0.0]))
+
+
+def test_coefficient_arrays_equal_per_point_calls_bit_for_bit():
+    xis = np.geomspace(1e-3, 60.0, 401)
+    stacked = spectrum_coefficients(xis)
+    looped = [spectrum_coefficients(float(xi)) for xi in xis]
+    assert all(type(f) is float for f in looped[0])
+    for name, values in zip(stacked._fields, stacked):
+        assert isinstance(values, np.ndarray) and values.shape == xis.shape
+        assert values.tolist() == [getattr(point, name) for point in looped]
 
 
 @pytest.mark.parametrize("xi", [0.5, 2.0, 8.0])

@@ -150,8 +150,8 @@ def test_population_bounds_enforced():
 
 
 def test_shape_small_argument_expansion():
-    # Leading terms -(2/5) xi^5 - (4/105) xi^7; evaluation noise from the
-    # trigonometric cancellation limits how tightly this can be pinned.
+    # Leading terms -(2/5) xi^5 - (4/105) xi^7 only; SHAPE_REFERENCE below
+    # pins the full value.
     for xi, tol in ((0.01, 1e-5), (0.03, 1e-5)):
         expansion = -(2.0 / 5.0) * xi**5 - (4.0 / 105.0) * xi**7
         assert lateral_force_shape(xi) == pytest.approx(expansion, rel=tol)
@@ -162,6 +162,33 @@ def test_shape_rejects_nonpositive_argument():
         lateral_force_shape(0.0)
     with pytest.raises(ValueError):
         lateral_force_shape(np.array([0.5, 0.0, 1.0]))
+
+
+# xi -> shape; mpmath at 50 digits at the binary value of xi, rounded to 17.
+# The points straddle the series/closed-form switch at xi = 0.6.
+SHAPE_REFERENCE = {
+    1e-6: -4.00000000000038e-31,
+    1e-4: -4.0000000038095244e-21,
+    1e-3: -4.0000003809525086e-16,
+    1e-2: -4.0000380965078985e-11,
+    0.1: -4.0038221837767015e-06,
+    0.59: -0.029643788480479927,
+    0.61: -0.0351133896018738,
+    1.0: -0.44727490443730017,
+}
+
+
+def test_shape_matches_frozen_references():
+    for xi, reference in SHAPE_REFERENCE.items():
+        assert lateral_force_shape(xi) == pytest.approx(reference, rel=1e-13)
+    xis = np.array(list(SHAPE_REFERENCE))
+    expected = np.array(list(SHAPE_REFERENCE.values()))
+    assert np.allclose(lateral_force_shape(xis), expected, rtol=1e-13, atol=0.0)
+
+
+def test_shape_finite_at_large_argument():
+    # The small-xi series must not overflow where the closed form applies.
+    assert math.isfinite(lateral_force_shape(1e20))
 
 
 XI_GRID = np.geomspace(1e-3, 60.0, 997)

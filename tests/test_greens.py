@@ -129,6 +129,10 @@ def test_cylindrical_mode_domain_errors():
         greens_cylindrical_mode(delta, OMEGA, -1.0, 0.0)
     with pytest.raises(ValueError):
         greens_cylindrical_mode(np.array([1e-7, 0.0, 0.0]), OMEGA, 1.0, 0.0)
+    # k_perp = 0 at k_par = omega/c, where the 1/k_perp density is singular.
+    for phi in (0.3, np.linspace(0.0, math.pi, 5)):
+        with pytest.raises(ValueError):
+            greens_cylindrical_mode(delta, OMEGA, OMEGA / c, phi)
 
 
 def test_born_term_properties(rng):

@@ -1,4 +1,4 @@
-"""Bessel J/Y implementation against frozen multiprecision references."""
+"""Bessel J/Y wrappers against frozen multiprecision references."""
 
 import math
 
@@ -8,12 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lateralvdw import bessel_j, bessel_y, hankel1
-from lateralvdw.specfun import (
-    SERIES_ASYMPTOTIC_SPLIT,
-    _j_series,
-    _jy_asymptotic,
-    _y_series,
-)
 
 # (x, order) -> (J_n(x), Y_n(x)); mpmath at 70 digits, rounded to 17.
 BESSEL_REFERENCE = {
@@ -86,8 +80,8 @@ BESSEL_REFERENCE = {
 
 def test_matches_frozen_references():
     for (x, order), (j_ref, y_ref) in BESSEL_REFERENCE.items():
-        assert bessel_j(order, x) == pytest.approx(j_ref, rel=1e-10)
-        assert bessel_y(order, x) == pytest.approx(y_ref, rel=1e-10)
+        assert bessel_j(order, x) == pytest.approx(j_ref, rel=1e-12)
+        assert bessel_y(order, x) == pytest.approx(y_ref, rel=1e-12)
 
 
 def test_small_argument_limits():
@@ -125,30 +119,6 @@ def test_three_term_recurrence(order: int):
             assert abs(low + high - 2.0 * order / x * mid) <= 1e-9 * scale
 
 
-def test_series_asymptotic_branches_agree_in_overlap():
-    # Both evaluation routes stay accurate near the switch point.  Errors
-    # are scaled by the oscillation envelope, not the function value, so
-    # points near a Bessel zero do not inflate the relative measure.
-    for x in np.linspace(11.0, 13.0, 21):
-        envelope = math.sqrt(2.0 / (math.pi * x))
-        for order in range(4):
-            j_asym, y_asym = _jy_asymptotic(order, x)
-            assert abs(_j_series(order, x) - j_asym) <= 1e-9 * envelope
-            assert abs(_y_series(order, x) - y_asym) <= 1e-9 * envelope
-
-
-def test_no_jump_at_branch_switch():
-    envelope = math.sqrt(2.0 / (math.pi * SERIES_ASYMPTOTIC_SPLIT))
-    for order in range(4):
-        j_asym, y_asym = _jy_asymptotic(order, SERIES_ASYMPTOTIC_SPLIT)
-        assert abs(_j_series(order, SERIES_ASYMPTOTIC_SPLIT) - j_asym) <= 1e-10 * envelope
-        assert abs(_y_series(order, SERIES_ASYMPTOTIC_SPLIT) - y_asym) <= 1e-10 * envelope
-
-
-def test_split_point_is_where_expected():
-    assert SERIES_ASYMPTOTIC_SPLIT == 12.0
-
-
 def test_asymptotic_envelope():
     x = 50.0
     envelope = math.sqrt(2.0 / (math.pi * x))
@@ -167,9 +137,23 @@ def test_hankel_combines_j_and_y():
 def test_rejects_bad_argument(bad_x: float):
     with pytest.raises(ValueError):
         bessel_j(0, bad_x)
+    for fn in (bessel_j, bessel_y, hankel1):
+        with pytest.raises(ValueError):
+            fn(1, np.array([0.5, bad_x, 2.0]))
 
 
 @pytest.mark.parametrize("bad_order", [-1, 4, 10])
 def test_rejects_unsupported_order(bad_order: int):
     with pytest.raises(ValueError):
         bessel_y(bad_order, 1.0)
+
+
+@pytest.mark.parametrize("fn", [bessel_j, bessel_y, hankel1])
+def test_array_argument_matches_scalar_calls(fn):
+    xs = np.geomspace(1e-3, 100.0, 57)
+    for order in range(4):
+        values = fn(order, xs)
+        scalars = [fn(order, float(x)) for x in xs]
+        assert type(scalars[0]) in (float, complex)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        assert values.tolist() == scalars
