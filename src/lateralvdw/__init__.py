@@ -50,7 +50,6 @@ from .forces import (
     torque_about_com,
 )
 from .greens import (
-    born_expanded_greens,
     greens_cylindrical_mode,
     greens_free,
     greens_free_from_modes,
@@ -88,7 +87,6 @@ __all__ = [
     "greens_free_imag",
     "greens_cylindrical_mode",
     "greens_free_from_modes",
-    "born_expanded_greens",
     "ForceResult",
     "lateral_force_shape",
     "lateral_force_closed_form",

@@ -135,15 +135,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-_DEFAULT_P1 = {"force-curve": 1.0, "velocity": 1e-2}
-_DEFAULT_OUTPUT = {
-    "force-curve": "force_curve",
-    "emission-spectrum": "emission_spectrum",
-    "velocity": "velocity",
-    "validate": "validation_report",
-}
-
-
 def _validate_config(config: RunConfig, verb: str) -> None:
     # One boundary for every float setting: nan and inf never reach a sweep
     # grid or a closed form, where they would turn into rows or warnings.
@@ -182,7 +173,7 @@ def _validate_config(config: RunConfig, verb: str) -> None:
         raise ConfigError("p1 must lie in [0, 1]")
 
 
-def _resolve_population(config: RunConfig, verb: str) -> float:
+def _resolve_population(config: RunConfig, default: float) -> float:
     """Excited-state population: explicit p1, else drive-derived, else default."""
     if config.p1 is not None:
         return config.p1
@@ -204,7 +195,7 @@ def _resolve_population(config: RunConfig, verb: str) -> float:
             return steady_state_population(drive)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return _DEFAULT_P1.get(verb, 1.0)
+    return default
 
 
 def _system_at(config: RunConfig, separation: float | np.ndarray) -> TwoAtomSystem:
@@ -256,12 +247,13 @@ def _base_meta(config: RunConfig, verb: str) -> dict:
         "wavelength": config.wavelength,
         "alpha_b": config.alpha_b,
     }
+    meta.update((key, getattr(config, key)) for key in _VERBS[verb].settings)
     if config.timestamp:
         meta["generated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return meta
 
 
-def _render(meta: dict, columns: list, rows: list, fmt: str, cell=repr) -> str:
+def _render(meta: dict, columns: typing.Sequence[str], rows: list, fmt: str, cell=repr) -> str:
     """Serialise one table.
 
     ``rows`` hold plain Python values; numeric tables come from
@@ -300,23 +292,8 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def _output_path(config: RunConfig, verb: str) -> str:
-    if config.output is not None:
-        return config.output
-    return f"{_DEFAULT_OUTPUT[verb]}.{config.format}"
-
-
-def _emit(
-    config: RunConfig, verb: str, meta: dict, columns: list, rows: list, cell=repr
-) -> str:
-    path = _output_path(config, verb)
-    _write_atomic(path, _render(meta, columns, rows, config.format, cell))
-    return path
-
-
-def cmd_force_curve(config: RunConfig) -> int:
-    p1 = _resolve_population(config, "force-curve")
-    columns = ["r", "xi", "F_x", "F_z_A", "F_z_B", "F_x_shape"]
+def cmd_force_curve(config: RunConfig) -> tuple[dict, list]:
+    p1 = _resolve_population(config, default=1.0)
     system = _system_at(config, _sweep(config))
     on_a = resonant_force_on_a(system, p1)
     on_b = resonant_force_on_b(system, p1)
@@ -330,64 +307,29 @@ def cmd_force_curve(config: RunConfig) -> int:
             on_a.shape_factor[:, 0],
         )
     ).tolist()
-    meta = _base_meta(config, "force-curve")
-    meta.update(
-        p1=p1,
-        r_min=config.r_min,
-        r_max=config.r_max,
-        points=config.points,
-        log_scale=config.log_scale,
-    )
-    path = _emit(config, "force-curve", meta, columns, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    return {"p1": p1}, rows
 
 
-def cmd_emission_spectrum(config: RunConfig) -> int:
-    system = _system_at(config, config.r)
-    spectrum = emission_spectrum(system, config.phi_points)
-    phis, rates = np.array(spectrum.samples).T
+def cmd_emission_spectrum(config: RunConfig) -> tuple[dict, list]:
+    spectrum = emission_spectrum(_system_at(config, config.r), config.phi_points)
+    rates = spectrum.rates
     peak = rates.max()
     scale = 1.0 / peak if peak > 0.0 else 0.0
-    columns = ["phi", "R", "R_normalized"]
-    rows = np.column_stack((phis, rates, rates * scale)).tolist()
-    meta = _base_meta(config, "emission-spectrum")
-    meta.update(
-        r=config.r,
-        xi=spectrum.xi,
-        phi_points=config.phi_points,
-        f1=spectrum.f1,
-        f2=spectrum.f2,
-        f3=spectrum.f3,
-    )
-    path = _emit(config, "emission-spectrum", meta, columns, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    rows = np.column_stack((spectrum.phis, rates, rates * scale)).tolist()
+    fields = {"xi": spectrum.xi, "f1": spectrum.f1, "f2": spectrum.f2, "f3": spectrum.f3}
+    return fields, rows
 
 
-def cmd_velocity(config: RunConfig) -> int:
-    p1 = _resolve_population(config, "velocity")
-    columns = ["r", "F_x", "v"]
+def cmd_velocity(config: RunConfig) -> tuple[dict, list]:
+    p1 = _resolve_population(config, default=1e-2)
     separations = _sweep(config)
     force = lateral_force_closed_form(_system_at(config, separations), p1)
     velocity = force * config.delta_t / config.mass_a
     rows = np.column_stack((separations, force, velocity)).tolist()
-    meta = _base_meta(config, "velocity")
-    meta.update(
-        p1=p1,
-        delta_t=config.delta_t,
-        mass_a=config.mass_a,
-        r_min=config.r_min,
-        r_max=config.r_max,
-        points=config.points,
-        log_scale=config.log_scale,
-    )
-    path = _emit(config, "velocity", meta, columns, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return 0
+    return {"p1": p1}, rows
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: RunConfig) -> tuple[dict, list]:
     tolerances = {"rel_tol": config.quad_rel_tol, "abs_tol": config.quad_abs_tol}
     quad = replace(
         _IDENTITY_QUADRATURE, **{k: v for k, v in tolerances.items() if v is not None}
@@ -395,31 +337,82 @@ def cmd_validate(config: RunConfig) -> int:
     checks = run_identity_checks(
         _system_at(config, config.r), config=quad, f3_scale=config.f3_scale
     )
-    columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
-    rows = [
-        [check.name, check.passed, check.achieved_error, check.tolerance, check.detail]
-        for check in checks
-    ]
-    all_passed = all(check.passed for check in checks)
-    meta = _base_meta(config, "validate")
-    meta.update(r=config.r, f3_scale=config.f3_scale, all_passed=all_passed)
-    path = _emit(config, "validate", meta, columns, rows, cell=_format_value)
     for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(
             f"{status}  {check.name}: error {check.achieved_error:.3e}"
             f" (tolerance {check.tolerance:.0e})"
         )
-    print(f"wrote {path}")
-    return 0 if all_passed else 1
+    rows = [
+        [check.name, check.passed, check.achieved_error, check.tolerance, check.detail]
+        for check in checks
+    ]
+    return {"all_passed": all(check.passed for check in checks)}, rows
 
 
-_COMMANDS = {
-    "force-curve": cmd_force_curve,
-    "emission-spectrum": cmd_emission_spectrum,
-    "velocity": cmd_velocity,
-    "validate": cmd_validate,
+@dataclass(frozen=True)
+class _Verb:
+    """One verb: ``table`` maps the settings to (computed metadata, rows)."""
+
+    table: typing.Callable[[RunConfig], tuple[dict, list]]
+    columns: tuple[str, ...]
+    stem: str  # default output file name, without the format suffix
+    help: str
+    settings: tuple[str, ...]  # RunConfig fields echoed in the metadata
+    cell: typing.Callable = repr
+    flags: tuple[tuple[str, str], ...] = ()  # (flag, help) of verb-only float flags
+
+
+_SWEEP = ("r_min", "r_max", "points", "log_scale")
+
+_VERBS = {
+    "force-curve": _Verb(
+        cmd_force_curve,
+        ("r", "xi", "F_x", "F_z_A", "F_z_B", "F_x_shape"),
+        "force_curve",
+        "lateral and longitudinal forces over a separation sweep",
+        _SWEEP,
+    ),
+    "emission-spectrum": _Verb(
+        cmd_emission_spectrum,
+        ("phi", "R", "R_normalized"),
+        "emission_spectrum",
+        "azimuthal recoil spectrum at one separation",
+        ("r", "phi_points"),
+        flags=(("--r", "separation in m (default 632e-9)"),),
+    ),
+    "velocity": _Verb(
+        cmd_velocity,
+        ("r", "F_x", "v"),
+        "velocity",
+        "accumulated lateral velocity over a separation sweep",
+        ("delta_t", "mass_a") + _SWEEP,
+    ),
+    "validate": _Verb(
+        cmd_validate,
+        ("name", "passed", "achieved_error", "tolerance", "detail"),
+        "validation_report",
+        "run the cross-validation identities",
+        ("r", "f3_scale"),
+        cell=_format_value,
+        flags=(
+            ("--f3-scale", "perturb the closed-form asymmetry coefficient (sensitivity hook)"),
+        ),
+    ),
 }
+
+
+def _run(config: RunConfig, name: str) -> int:
+    """Build, write and announce one verb's table; return the exit status."""
+    verb = _VERBS[name]
+    fields, rows = verb.table(config)
+    meta = _base_meta(config, name)
+    meta.update(fields)
+    path = config.output if config.output is not None else f"{verb.stem}.{config.format}"
+    _write_atomic(path, _render(meta, verb.columns, rows, config.format, verb.cell))
+    print(f"wrote {path} ({len(rows)} rows)")
+    # Only validate reports a verdict; a failing identity exits 1.
+    return 0 if fields.get("all_passed", True) else 1
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -452,31 +445,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lateralvdw {__version__}")
     subparsers = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subparsers.add_parser(
-        "force-curve", help="lateral and longitudinal forces over a separation sweep"
-    )
-    _add_shared_flags(sub)
-
-    sub = subparsers.add_parser(
-        "emission-spectrum", help="azimuthal recoil spectrum at one separation"
-    )
-    _add_shared_flags(sub)
-    sub.add_argument("--r", type=float, help="separation in m (default 632e-9)")
-
-    sub = subparsers.add_parser(
-        "velocity", help="accumulated lateral velocity over a separation sweep"
-    )
-    _add_shared_flags(sub)
-
-    sub = subparsers.add_parser("validate", help="run the cross-validation identities")
-    _add_shared_flags(sub)
-    sub.add_argument(
-        "--f3-scale",
-        type=float,
-        help="perturb the closed-form asymmetry coefficient (sensitivity hook)",
-    )
-
+    for name, verb in _VERBS.items():
+        sub = subparsers.add_parser(name, help=verb.help)
+        _add_shared_flags(sub)
+        for flag, text in verb.flags:
+            sub.add_argument(flag, type=float, help=text)
     return parser
 
 
@@ -503,7 +476,7 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         _validate_config(config, args.verb)
-        return _COMMANDS[args.verb](config)
+        return _run(config, args.verb)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

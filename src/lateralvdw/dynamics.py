@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c, hbar, mu_0
-from .forces import lateral_force_closed_form
+from .forces import _coupling, _return_leg, lateral_force_closed_form
 from .greens import greens_free
 from .system import TwoAtomSystem
 
@@ -31,13 +31,10 @@ class DecayRates:
 
     gamma_free: float
     gamma_correction: float
-    gamma_total: float
 
-    def __post_init__(self):
-        if not math.isclose(
-            self.gamma_total, self.gamma_free + self.gamma_correction, rel_tol=1e-12
-        ):
-            raise ValueError("gamma_total must equal gamma_free + gamma_correction")
+    @property
+    def gamma_total(self) -> float:
+        return self.gamma_free + self.gamma_correction
 
 
 @dataclass
@@ -75,20 +72,11 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
     closed-form counterpart of the mode-resolved density integral.
     """
     omega = system.omega_a
-    d10 = system.dipole_a
-    d01 = np.conj(d10)
-    r_a, r_b = system.position_a, system.position_b
-    sandwich = (
-        d10
-        @ greens_free(r_a, r_b, omega)
-        @ (system.alpha_b * (greens_free(r_b, r_a, omega) @ d01))
-    )
-    correction = 2.0 * mu_0**2 / hbar * omega**4 * sandwich.imag
-    free = free_decay_rate(system)
+    outbound = system.dipole_a @ greens_free(system.position_a, system.position_b, omega)
+    sandwich = outbound @ _return_leg(system)
     return DecayRates(
-        gamma_free=free,
-        gamma_correction=correction,
-        gamma_total=free + correction,
+        gamma_free=free_decay_rate(system),
+        gamma_correction=_coupling(omega) / hbar * sandwich.imag,
     )
 
 

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import hbar, mu_0
-from .forces import lateral_force_shape
-from .greens import _mode_tensors, greens_free
+from .constants import hbar
+from .forces import _coupling, _return_leg, lateral_force_shape
+from .greens import _mode_tensors
 from .quadrature import (
     QuadratureConfig,
     integrate_evanescent,
@@ -57,11 +57,12 @@ class SpectrumCoefficients(NamedTuple):
 
 @dataclass
 class EmissionSpectrum:
-    """Sampled recoil spectrum at one separation."""
+    """Sampled recoil spectrum at one separation: rates[j] = R(phis[j]), N/rad."""
 
     separation: float
     xi: float
-    samples: list[tuple[float, float]]
+    phis: np.ndarray
+    rates: np.ndarray
     f1: float
     f2: float
     f3: float
@@ -185,10 +186,9 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     """
     omega = system.omega_a
     d10 = system.dipole_a
-    r_a, r_b = system.position_a, system.position_b
-    dx, dy, dz = r_a - r_b
-    back = system.alpha_b * (greens_free(r_b, r_a, omega) @ np.conj(d10))
-    rate_scale = 2.0 * mu_0**2 / hbar * omega**4
+    dx, dy, dz = system.position_a - system.position_b
+    back = _return_leg(system)
+    rate_scale = _coupling(omega) / hbar
 
     def profile(k_par: float, k_perp: complex) -> float | np.ndarray:
         tensors = _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis)
@@ -197,18 +197,41 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     return profile
 
 
+def _azimuths(n_phi: int) -> np.ndarray:
+    """The equispaced grid 2 pi j / n_phi shared by every sampled spectrum."""
+    if n_phi < 8:
+        raise ValueError(f"n_phi must be at least 8, got {n_phi}")
+    return 2.0 * math.pi * np.arange(n_phi) / n_phi
+
+
+def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
+                  config: QuadratureConfig | None):
+    """Propagating plus evanescent integral of weight(k_par) gamma(k_par, phi).
+
+    The weight stays inside the integrand: the absolute tolerance is sized
+    for the weighted integral.  A float phi gives one value, an array one per
+    azimuth.
+    """
+    gamma = _mode_sandwich_profile(system, phis)
+
+    def integrand(k_par: float, k_perp: complex) -> float | np.ndarray:
+        return weight(k_par) * gamma(k_par, k_perp)
+
+    omega = system.omega_a
+    return integrate_propagating(integrand, omega, config) + integrate_evanescent(
+        integrand, omega, system.separation, config
+    )
+
+
+def _recoil_weight(k_par: float) -> float:
+    return hbar * k_par * k_par  # photon momentum hbar k_par times measure k_par
+
+
 def recoil_rate_quadrature(
     system: TwoAtomSystem, phi: float, config: QuadratureConfig | None = None
 ) -> float:
     """Recoil rate by direct quadrature of hbar k_par times the density."""
-    gamma = _mode_sandwich_profile(system, phi)
-
-    def integrand(k_par: float, k_perp: complex) -> float:
-        return hbar * k_par * k_par * gamma(k_par, k_perp)
-
-    total = integrate_propagating(integrand, system.omega_a, config)
-    total += integrate_evanescent(integrand, system.omega_a, system.separation, config)
-    return float(total)
+    return float(_k_par_moment(system, _recoil_weight, phi, config))
 
 
 def recoil_rate_profile(
@@ -219,19 +242,8 @@ def recoil_rate_profile(
     Returns (phis, R values).  One shared k_par quadrature serves every
     azimuth, which keeps moment extraction (force, asymmetry) cheap.
     """
-    if n_phi < 8:
-        raise ValueError(f"n_phi must be at least 8, got {n_phi}")
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    gamma = _mode_sandwich_profile(system, phis)
-
-    def integrand(k_par: float, k_perp: complex) -> np.ndarray:
-        return hbar * k_par * k_par * gamma(k_par, k_perp)
-
-    total = integrate_propagating(integrand, system.omega_a, config)
-    total = total + integrate_evanescent(
-        integrand, system.omega_a, system.separation, config
-    )
-    return phis, total.real
+    phis = _azimuths(n_phi)
+    return phis, _k_par_moment(system, _recoil_weight, phis, config).real
 
 
 def assisted_rate_correction_quadrature(
@@ -243,33 +255,22 @@ def assisted_rate_correction_quadrature(
     32-point periodic trapezoid is exact and only the k_par axis needs
     adaptive quadrature.
     """
-    n_phi = 32
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    gamma = _mode_sandwich_profile(system, phis)
-    weight = 2.0 * math.pi / n_phi
-
-    def integrand(k_par: float, k_perp: complex) -> np.ndarray:
-        return k_par * gamma(k_par, k_perp)
-
-    total = integrate_propagating(integrand, system.omega_a, config)
-    total = total + integrate_evanescent(
-        integrand, system.omega_a, system.separation, config
-    )
-    return float(np.sum(total.real) * weight)
+    phis = _azimuths(32)
+    total = _k_par_moment(system, lambda k_par: k_par, phis, config)
+    return float(np.sum(total.real) * (2.0 * math.pi / len(phis)))
 
 
 def emission_spectrum(system: TwoAtomSystem, n_phi: int) -> EmissionSpectrum:
     """Closed-form recoil spectrum sampled on n_phi equispaced azimuths."""
-    if n_phi < 8:
-        raise ValueError(f"n_phi must be at least 8, got {n_phi}")
+    phis = _azimuths(n_phi)
     _, hand = system.circular_parameters()
     coefficients = spectrum_coefficients(system.xi)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     rates = recoil_rate_prefactor(system) * _recoil_bracket(coefficients, hand, phis)
     return EmissionSpectrum(
         separation=system.separation,
         xi=system.xi,
-        samples=list(zip(phis.tolist(), rates.tolist())),
+        phis=phis,
+        rates=rates,
         f1=coefficients.f1,
         f2=coefficients.f2,
         f3=coefficients.f3,

@@ -127,6 +127,23 @@ def _force_result(system: TwoAtomSystem, p1: float, force_unit: np.ndarray) -> F
     )
 
 
+# The scattered-field sandwich d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01 is
+# shared by both resonant forces, the mode-resolved emission density and the
+# assisted decay rate; its coupling and its return leg live here only.
+
+
+def _coupling(omega: float) -> float:
+    """2 mu0^2 omega^4: the sandwich times this is a force (gradient) or hbar
+    times a rate (imaginary part)."""
+    return 2.0 * mu_0**2 * omega**4
+
+
+def _return_leg(system: TwoAtomSystem) -> np.ndarray:
+    """alpha_B G(r_B, r_A) . d01: (3,), or (N, 3) for N separations."""
+    back = greens_free(system.position_b, system.position_a, system.omega_a)
+    return system.alpha_b * (back @ np.conj(system.dipole_a))
+
+
 def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
     """Resonant force on the excited atom from the field scattered by B.
 
@@ -135,16 +152,9 @@ def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
     A system with N separations gives (N, 3) forces and shapes.
     """
     _population_valid(p1)
-    omega = system.omega_a
-    r_a, r_b = system.position_a, system.position_b
-    d10 = system.dipole_a
-    d01 = np.conj(d10)
-
-    back = greens_free(r_b, r_a, omega) @ d01
-    grad = greens_free_gradient(r_a, r_b, omega)
-    sandwich = np.einsum("a,...kab,...b->...k", d10, grad, system.alpha_b * back)
-    force_unit = 2.0 * mu_0**2 * omega**4 * sandwich.real
-    return _force_result(system, p1, force_unit)
+    grad = greens_free_gradient(system.position_a, system.position_b, system.omega_a)
+    sandwich = np.einsum("a,...kab,...b->...k", system.dipole_a, grad, _return_leg(system))
+    return _force_result(system, p1, _coupling(system.omega_a) * sandwich.real)
 
 
 def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
@@ -166,8 +176,7 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
     fixed = d10 @ np.conj(greens_free(r_a, r_b, omega))
     grad = greens_free_gradient(r_b, r_a, omega)
     sandwich = np.einsum("...a,...kab,b->...k", fixed, grad, d01) * system.alpha_b
-    force_unit = 2.0 * mu_0**2 * omega**4 * sandwich.real
-    return _force_result(system, p1, force_unit)
+    return _force_result(system, p1, _coupling(omega) * sandwich.real)
 
 
 def nonresonant_force(

@@ -1,7 +1,8 @@
 """Free-space dyadic Green's tensor of the electric field wave equation.
 
-Closed form, analytic spatial gradient, the lateral-momentum (cylindrical
-wave) resolution, and the single-scatterer Born term.  The closed form is
+Closed form, analytic spatial gradient and the lateral-momentum
+(cylindrical wave) resolution.  The single-scatterer Born term
+G(r, r_B) alpha_B G(r_B, r_A) is assembled in ``forces``.  The closed form is
 organised as dimensionless shape coefficients of xi = omega r / c times an
 explicit 1/(4 pi r) scale, so nothing underflows even at deeply
 sub-wavelength separations where SI intermediates get small.
@@ -26,7 +27,6 @@ __all__ = [
     "greens_free",
     "greens_free_gradient",
     "greens_cylindrical_mode",
-    "born_expanded_greens",
     "greens_free_from_modes",
     "greens_free_imag",
     "greens_free_gradient_imag",
@@ -161,15 +161,6 @@ def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
     if k_perp == 0.0:
         raise ValueError("mode tensor is singular on the light line k_par = omega/c")
     return _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phi)
-
-
-def born_expanded_greens(r, r_prime, r_scatter, omega: float, alpha_b: float) -> np.ndarray:
-    """Single-scatterer correction mu0 omega^2 G(r, r_s) alpha_B G(r_s, r')."""
-    from .constants import mu_0
-
-    g_out = greens_free(r, r_scatter, omega)
-    g_back = greens_free(r_scatter, r_prime, omega)
-    return mu_0 * omega**2 * alpha_b * (g_out @ g_back)
 
 
 def greens_free_from_modes(delta_r, omega: float,

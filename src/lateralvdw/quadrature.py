@@ -75,9 +75,7 @@ def transverse_wavenumber(k_par: float, omega: float) -> complex:
     k = omega / c
     if k_par <= k:
         return complex(math.sqrt(k * k - k_par * k_par), 0.0)
-    out = complex(0.0, math.sqrt(k_par * k_par - k * k))
-    assert out.imag >= 0.0
-    return out
+    return complex(0.0, math.sqrt(k_par * k_par - k * k))
 
 
 def _quad_vec(g: Callable[[float], complex | np.ndarray], a: float, b: float,

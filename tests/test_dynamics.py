@@ -70,11 +70,6 @@ def test_free_decay_rate_scales_with_frequency_cubed():
     assert free_decay_rate(halved) == pytest.approx(free_decay_rate(base) / 8.0, rel=1e-12)
 
 
-def test_decay_rates_consistency_enforced():
-    with pytest.raises(ValueError):
-        DecayRates(gamma_free=1.0, gamma_correction=2.0, gamma_total=4.0)
-
-
 def test_assisted_correction_frozen_value():
     rates = assisted_decay_rate(TwoAtomSystem.cs_rb(632e-9))
     assert rates.gamma_correction == pytest.approx(-3.439639e-2, rel=1e-5)
@@ -187,6 +182,6 @@ def test_impulse_velocity_consistency():
 
 def test_impulse_velocity_rejects_nonpositive_rate():
     system = TwoAtomSystem.cs_rb(632e-9)
-    dead = DecayRates(gamma_free=1.0, gamma_correction=-1.0, gamma_total=0.0)
+    dead = DecayRates(gamma_free=1.0, gamma_correction=-1.0)
     with pytest.raises(ValueError):
         impulse_velocity_single_shot(system, dead)

@@ -275,8 +275,8 @@ def test_near_field_remainder_scales_as_sixth_power():
 def test_emission_spectrum_samples_reproduce_closed_form():
     system = system_at_xi(2.0)
     spectrum = emission_spectrum(system, 16)
-    assert len(spectrum.samples) == 16
-    for phi, rate in spectrum.samples:
+    assert len(spectrum.phis) == len(spectrum.rates) == 16
+    for phi, rate in zip(spectrum.phis, spectrum.rates):
         assert rate == pytest.approx(recoil_rate(system, phi), rel=1e-12)
     f1, f2, f3 = spectrum_coefficients(2.0)
     assert spectrum.f1 == pytest.approx(f1, rel=1e-14)
@@ -296,7 +296,14 @@ def test_emission_spectrum_computes_coefficients_once(monkeypatch):
     system = system_at_xi(2.0)
     spectrum = emission.emission_spectrum(system, 512)
     assert calls == [system.xi]
-    assert len(spectrum.samples) == 512
+    assert len(spectrum.rates) == 512
+
+
+@pytest.mark.parametrize("n_phi", [12, 13])
+def test_spectrum_and_profile_share_one_azimuth_grid(n_phi):
+    system = system_at_xi(2.0)
+    phis, _ = recoil_rate_profile(system, n_phi)
+    assert np.array_equal(emission_spectrum(system, n_phi).phis, phis)
 
 
 def test_emission_spectrum_rejects_sparse_sampling():

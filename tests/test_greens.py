@@ -7,7 +7,6 @@ import pytest
 
 from lateralvdw import (
     QuadratureConfig,
-    born_expanded_greens,
     greens_cylindrical_mode,
     greens_free,
     greens_free_from_modes,
@@ -133,20 +132,6 @@ def test_cylindrical_mode_domain_errors():
     for phi in (0.3, np.linspace(0.0, math.pi, 5)):
         with pytest.raises(ValueError):
             greens_cylindrical_mode(delta, OMEGA, OMEGA / c, phi)
-
-
-def test_born_term_properties(rng):
-    r1, r2 = random_pair(rng)
-    scatter = rng.uniform(-1e-6, 1e-6, 3)
-    alpha = 3e-38
-    term = born_expanded_greens(r1, r2, scatter, OMEGA, alpha)
-    doubled = born_expanded_greens(r1, r2, scatter, OMEGA, 2.0 * alpha)
-    scale = np.max(np.abs(term))
-    assert np.max(np.abs(doubled - 2.0 * term)) <= 1e-12 * scale
-    zero = born_expanded_greens(r1, r2, scatter, OMEGA, 0.0)
-    assert np.max(np.abs(zero)) == 0.0
-    swapped = born_expanded_greens(r2, r1, scatter, OMEGA, alpha)
-    assert np.max(np.abs(term - swapped.T)) <= 1e-12 * scale
 
 
 def test_coincident_points_rejected():
