@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -237,6 +238,13 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _json_cell(value) -> str:
+    """One JSON cell as json.dumps writes it; finite floats skip the encoder."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
 def _base_meta(config: RunConfig, verb: str) -> dict:
     meta = {
         "tool": "lateralvdw",
@@ -259,14 +267,23 @@ def _render(meta: dict, columns: typing.Sequence[str], rows: list, fmt: str, cel
     ``rows`` hold plain Python values; numeric tables come from
     ``ndarray.tolist()``, so their cells are floats that ``repr`` renders
     as the shortest round-tripping text.  Tables with other cell types
-    pass ``cell=_format_value``.
+    pass ``cell=_format_value``.  JSON ignores ``cell``: its cells are
+    written as json.dumps would write them.
     """
     if fmt == "json":
-        payload = {
-            "meta": {key: _pyval(value) for key, value in meta.items()},
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # The bytes of json.dumps({"meta": ..., "rows": ...}, indent=2,
+        # sort_keys=True), with the rows filled into a per-row template.
+        meta_text = json.dumps(
+            {"meta": {key: _pyval(value) for key, value in meta.items()}},
+            indent=2,
+            sort_keys=True,
+        )
+        keys = sorted(columns)
+        template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
+        cells = [list(map(_json_cell, [row[i] for row in rows])) for i in map(columns.index, keys)]
+        body = ",\n".join(template % row for row in zip(*cells))
+        rows_text = f"[\n{body}\n  ]" if rows else "[]"
+        return f'{meta_text[:-2]},\n  "rows": {rows_text}\n}}\n'
     lines = [f"# {key} = {_format_value(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
     lines.extend(",".join(map(cell, row)) for row in rows)

@@ -26,6 +26,7 @@ from .forces import _coupling, _return_leg, lateral_force_shape
 from .greens import _mode_tensors
 from .quadrature import (
     QuadratureConfig,
+    _rows_times,
     integrate_evanescent,
     integrate_propagating,
     transverse_wavenumber,
@@ -171,18 +172,22 @@ def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
     (2 mu0^2 / hbar) omega^4 Im[d10 . G_mode(r_A - r_B) alpha_B
     G(r_B, r_A) . d01], with the outbound leg resolved in the lateral
     momentum and the return leg in closed form.  Integrated over the full
-    mode measure it reproduces the assisted-decay correction.
+    mode measure it reproduces the assisted-decay correction.  The density
+    is singular on the light line k_par = omega/c, which raises ValueError.
     """
-    gamma = _mode_sandwich_profile(system, phi)
-    return float(gamma(k_par, transverse_wavenumber(k_par, system.omega_a)))
+    k_perp = transverse_wavenumber(k_par, system.omega_a)
+    if k_perp == 0.0:
+        raise ValueError("rate density is singular on the light line k_par = omega/c")
+    return float(_mode_sandwich_profile(system, phi)(k_par, k_perp))
 
 
 def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
-    """gamma(k_par, phi) at a float azimuth or over an array of azimuths.
+    """gamma(k_par, phi) at a float azimuth or over an array of P azimuths.
 
-    Returns a callable (k_par, k_perp) -> rate densities (a float, or one
-    per azimuth), with the closed-form return leg hoisted out of the
-    quadrature loop.
+    Returns a callable (k_par, k_perp) -> rate densities, with the
+    closed-form return leg hoisted out of the quadrature loop.  (K,) arrays
+    of k_par and k_perp give (K,) densities for a float phi and (K, P) for
+    an array; floats drop the K axis.
     """
     omega = system.omega_a
     d10 = system.dipole_a
@@ -190,7 +195,7 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     back = _return_leg(system)
     rate_scale = _coupling(omega) / hbar
 
-    def profile(k_par: float, k_perp: complex) -> float | np.ndarray:
+    def profile(k_par, k_perp) -> np.ndarray:
         tensors = _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis)
         return rate_scale * np.einsum("a,...ab,b->...", d10, tensors, back).imag
 
@@ -214,8 +219,8 @@ def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
     """
     gamma = _mode_sandwich_profile(system, phis)
 
-    def integrand(k_par: float, k_perp: complex) -> float | np.ndarray:
-        return weight(k_par) * gamma(k_par, k_perp)
+    def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
+        return _rows_times(gamma(k_par, k_perp), weight(k_par))
 
     omega = system.omega_a
     return integrate_propagating(integrand, omega, config) + integrate_evanescent(
@@ -223,7 +228,7 @@ def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
     )
 
 
-def _recoil_weight(k_par: float) -> float:
+def _recoil_weight(k_par: np.ndarray) -> np.ndarray:
     return hbar * k_par * k_par  # photon momentum hbar k_par times measure k_par
 
 

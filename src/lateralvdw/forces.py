@@ -23,13 +23,8 @@ from .constants import (
     hbar,
     mu_0,
 )
-from .greens import (
-    greens_free,
-    greens_free_gradient,
-    greens_free_gradient_imag,
-    greens_free_imag,
-)
-from .quadrature import QuadratureConfig, _quad_vec
+from .greens import _greens, _greens_gradient, greens_free, greens_free_gradient
+from .quadrature import QuadratureConfig, _qag
 from .system import TwoAtomSystem, _closed_form_scale
 
 __all__ = [
@@ -215,18 +210,21 @@ def nonresonant_force(
     # in terms of 1/zeta; the floor keeps an (unsampled) endpoint harmless.
     zeta_floor = 1e-9 * omega_a
 
-    def integrand(zeta: float) -> np.ndarray:
-        zeta = max(zeta, zeta_floor)
+    def integrand(zeta: np.ndarray) -> np.ndarray:
+        # One row per node: the kernels take a per-row frequency i zeta.
+        zeta = np.maximum(zeta, zeta_floor)
         kappa_a = 2.0 / hbar * omega_a / (omega_a**2 + zeta**2)
         alpha_b = alpha_b_static * omega_b**2 / (omega_b**2 + zeta**2)
-        g_back = greens_free_imag(r_b, r_a, zeta)
-        grad = greens_free_gradient_imag(r_a, r_b, zeta)
+        rows_a = np.broadcast_to(r_a, zeta.shape + (3,))
+        rows_b = np.broadcast_to(r_b, zeta.shape + (3,))
+        g_back = _greens(rows_b, rows_a, 1j * zeta).real
+        grad = _greens_gradient(rows_a, rows_b, 1j * zeta).real
         # grad of Tr[dyad . G(r, r_B) . G(r_B, r_A)] at r = r_A.
-        contract = np.einsum("ij,kjb,bi->k", dyad_sym, grad, g_back)
-        return zeta**4 * kappa_a * alpha_b * contract
+        contract = np.einsum("ij,nkjb,nbi->nk", dyad_sym, grad, g_back)
+        return (zeta**4 * kappa_a * alpha_b)[:, None] * contract
 
     zeta_max = cfg.tail_cutoff_decades * c / (2.0 * system.separation)
-    fvec = _quad_vec(
+    fvec = _qag(
         integrand,
         0.0,
         zeta_max,

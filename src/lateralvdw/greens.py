@@ -123,15 +123,19 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     return _greens_gradient(r_from, r_to, omega)
 
 
-def _mode_tensors(dx: float, dy: float, dz: float, omega: float, k_par: float,
-                  k_perp: complex, phi: float | np.ndarray) -> np.ndarray:
-    """Mode tensor density at azimuth phi: (3, 3) for a float, (P, 3, 3) for (P,).
+def _mode_tensors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
+                  phi: float | np.ndarray) -> np.ndarray:
+    """Mode tensor densities over k_par (K,) and phi: (K, P, 3, 3) for P azimuths.
 
-    k_perp is taken as given, so an integrator can pass k cos(theta) on the
-    propagating side instead of a square root that cancels near the light line.
+    A float phi drops the P axis and float k_par, k_perp drop the K axis, so
+    scalars give one (3, 3) tensor.  k_perp is taken as given, so an
+    integrator can pass k cos(theta) on the propagating side instead of a
+    square root that cancels near the light line.
     """
+    grid = np.shape(k_par) + (1,) * np.ndim(phi)
+    k_par, k_perp = np.reshape(k_par, grid), np.reshape(k_perp, grid)
     cos_p, sin_p = np.cos(phi), np.sin(phi)
-    kvec = np.empty(np.shape(phi) + (3,), dtype=complex)
+    kvec = np.empty(np.broadcast_shapes(grid, np.shape(phi)) + (3,), dtype=complex)
     kvec[..., 0] = k_par * cos_p
     kvec[..., 1] = k_par * sin_p
     kvec[..., 2] = math.copysign(1.0, dz) * k_perp
@@ -168,25 +172,26 @@ def greens_free_from_modes(delta_r, omega: float,
     """Closed-form tensor rebuilt by quadrature over its cylindrical modes.
 
     Serves as the independent numerical route against greens_free; the
-    azimuthal integral runs first at fixed k_par, then the k_par axis is
-    integrated separately on the propagating and evanescent sides.
+    azimuthal integral runs first, for each batch of k_par nodes at once,
+    then the k_par axis is integrated separately on the propagating and
+    evanescent sides.
     """
-    dr = np.asarray(delta_r, dtype=float)
-    dist = abs(dr[2])
-    if dist == 0.0:
+    dx, dy, dz = np.asarray(delta_r, dtype=float)
+    if dz == 0.0:
         raise ValueError("mode resolution requires a nonzero z displacement")
 
-    def ring(k_par: float) -> np.ndarray:
-        return integrate_angle(
-            lambda phis: greens_cylindrical_mode(dr, omega, k_par, phis).reshape(-1, 9),
+    def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
+        # One azimuth ring for the whole batch of K nodes: (P, K, 9) per level.
+        ring = integrate_angle(
+            lambda phis: np.moveaxis(
+                _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis), 1, 0
+            ).reshape(len(phis), -1, 9),
             config,
         )
-
-    def integrand(k_par: float, _k_perp: complex) -> np.ndarray:
-        return k_par * ring(k_par)
+        return k_par[:, None] * ring
 
     total = integrate_propagating(integrand, omega, config)
-    total = total + integrate_evanescent(integrand, omega, dist, config)
+    total = total + integrate_evanescent(integrand, omega, abs(dz), config)
     return total.reshape(3, 3)
 
 

@@ -9,19 +9,28 @@ integrals of smooth periodic integrands use the trapezoid rule with
 interval doubling, which converges spectrally; successive refinements act
 as the error estimate.
 
+The k_par integrals run QUADPACK's globally adaptive QAG scheme with the
+G10/K21 pair (Piessens et al., QUADPACK, Springer 1983): each round bisects
+the panels with the largest error estimates and evaluates all of their
+nodes in one integrand call.
+
 Everything here is generic plumbing; the physics lives in the integrands
-the callers pass in.  Integrands receive (k_par, k_perp) with the branch
-Im k_perp >= 0 already resolved.
+the callers pass in.  Integrands take arrays: (k_par, k_perp) as (N,)
+arrays with the branch Im k_perp >= 0 already resolved, and return values
+with a leading axis over the N nodes, (N,) or (N, ...).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
+
+# Unused here: perfbench's import_seconds reads the cumulative import time of
+# scipy.integrate (and scipy.constants) from ``python -X importtime -c
+# "import lateralvdw"`` and raises KeyError if the package stops loading it.
+import scipy.integrate  # noqa: F401
 
 from .constants import c
 
@@ -78,31 +87,132 @@ def transverse_wavenumber(k_par: float, omega: float) -> complex:
     return complex(0.0, math.sqrt(k_par * k_par - k * k))
 
 
-def _quad_vec(g: Callable[[float], complex | np.ndarray], a: float, b: float,
-              cfg: QuadratureConfig) -> complex | np.ndarray:
-    """Adaptive integral of a scalar or array integrand, shared error control."""
-    res, err = quad_vec(
-        g,
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=max(cfg.max_subdivisions, 10),
-        norm="max",
-    )
-    scale = np.max(np.abs(res))
+# QUADPACK qk21: Kronrod abscissae on [0, 1] (the last is the centre) with
+# their weights, and the weights of the embedded 10-point Gauss rule, whose
+# abscissae are _XGK[1], _XGK[3], ..., _XGK[9].
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# The full 21-node rule on [-1, 1], abscissae descending; the Gauss weights
+# sit on the odd nodes and are zero on the Kronrod-only ones.
+_NODES = np.array(_XGK + tuple(-x for x in reversed(_XGK[:-1])))
+_KRONROD = np.array(_WGK + tuple(reversed(_WGK[:-1])))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11:20:2] = _WG[::-1]
+
+# Most panels bisected in one round, as in scipy.integrate.quad_vec.
+_MAX_SPLIT = 128
+
+
+def _panel_norm(values: np.ndarray) -> np.ndarray:
+    """Max-norm over the components of each panel's value: (M, ...) -> (M,)."""
+    return np.abs(values).reshape(len(values), -1).max(axis=1)
+
+
+def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """K21 integrals, error estimates and rounding floors of the panels [lo, hi].
+
+    All 21 * M nodes go to g in one call.  The error estimate is QUADPACK's
+    dabs * min(1, (200 |K21 - G10| / dabs)^1.5), floored by the rounding
+    error 50 eps h int|f|, with the max-norm over the components.
+    """
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = np.asarray(g((centre[:, None] + half[:, None] * _NODES).ravel()))
+    values = values.reshape((len(lo), 21) + values.shape[1:])
+    h = np.abs(half).reshape((-1,) + (1,) * (values.ndim - 2))
+    # Summed node by node in order, as quad_vec does, so that the integral
+    # does not move with the batch layout; cumsum is sequential on any axis.
+    weights = _KRONROD.reshape((21,) + (1,) * (values.ndim - 2))
+    kronrod = np.cumsum(weights * values, axis=1)[:, -1]
+    gauss = np.tensordot(_GAUSS, values, axes=(0, 1))
+    spread = np.tensordot(_KRONROD, np.abs(values - 0.5 * kronrod[:, None]), axes=(0, 1))
+    magnitude = np.tensordot(_KRONROD, np.abs(values), axes=(0, 1))
+    err = _panel_norm((kronrod - gauss) * h)
+    dabs = _panel_norm(spread * h)
+    ratio = 200.0 * err / np.where(dabs != 0.0, dabs, 1.0)
+    err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.minimum(1.0, ratio) ** 1.5, err)
+    rounding = _panel_norm(50.0 * np.finfo(float).eps * h * magnitude)
+    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
+    return half.reshape(h.shape) * kronrod, err, rounding
+
+
+def _qag(g, a: float, b: float, cfg: QuadratureConfig):
+    """Globally adaptive G10/K21 integral of a batched integrand over [a, b].
+
+    g takes an (N,) array of abscissae and returns (N,) or (N, ...) values;
+    every component shares one error control.  Each round bisects the
+    panels with the largest errors, worst first, until the error left in
+    the unsplit ones is below tol/8, and evaluates the new nodes in one call.
+    The rule stops with at least two panels and a total error below tol/8,
+    tol = max(abs_tol, rel_tol max|I|), or at the panel limit.  Panel
+    choice and stopping follow scipy.integrate.quad_vec with norm="max".
+    """
+    limit = max(cfg.max_subdivisions, 10)
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    parts, errs, rounding = _gk21(g, lo, hi)
+    # Like quad_vec, the rounding floor sums over every panel ever built.
+    rounding = rounding.sum()
+    while True:
+        total, error = parts.sum(axis=0), errs.sum()
+        tol = max(cfg.abs_tol, cfg.rel_tol * np.max(np.abs(total)))
+        if len(lo) >= 2 and (error < tol / 8.0 or error < rounding):
+            break
+        if len(lo) >= limit or not (np.isfinite(error) and np.isfinite(rounding)):
+            break
+        order = np.lexsort((lo, -errs))
+        # Split the worst panel, then the next ones while the error already
+        # taken stays within error - tol/8.
+        taken = np.cumsum(errs[order])[:-1]
+        n = min(_MAX_SPLIT, 1 + int(np.count_nonzero(taken <= error - tol / 8.0)))
+        split, keep = order[:n], order[n:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_parts, new_errs, new_rounding = _gk21(g, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        parts = np.concatenate([parts[keep], new_parts])
+        errs = np.concatenate([errs[keep], new_errs])
+        rounding += new_rounding.sum()
+    err = error + rounding
+    scale = np.max(np.abs(total))
     if err > 10.0 * max(cfg.abs_tol, cfg.rel_tol * scale) and err > 1e-13 * scale:
         raise QuadratureConvergenceError("adaptive integral did not converge", err)
-    return res
+    return total[()]
+
+
+def _rows_times(values, weights: np.ndarray) -> np.ndarray:
+    """(N, ...) integrand values scaled row by row by (N,) weights."""
+    values = np.asarray(values)
+    return values * weights.reshape(weights.shape + (1,) * (values.ndim - 1))
 
 
 def integrate_propagating(f, omega: float, config: QuadratureConfig | None = None):
     """Integral of f(k_par, k_perp) over k_par in [0, omega/c].
 
     The sin(theta) substitution supplies a factor k_perp = (omega/c)
-    cos(theta) that cancels the usual 1/k_perp endpoint singularity.  The
-    integrand may return a complex scalar or an ndarray (all components are
-    integrated together with a shared error control).
+    cos(theta) that cancels the usual 1/k_perp endpoint singularity.  f
+    takes (N,) arrays of k_par and complex k_perp and returns (N,) values,
+    or (N, ...) for an array integrand (all components are integrated
+    together with a shared error control).
     """
     cfg = config or _DEFAULT
     if omega <= 0.0:
@@ -110,11 +220,10 @@ def integrate_propagating(f, omega: float, config: QuadratureConfig | None = Non
     k = omega / c
 
     def g(theta):
-        k_par = k * math.sin(theta)
-        k_perp = k * math.cos(theta)
-        return f(k_par, complex(k_perp, 0.0)) * (k * math.cos(theta))
+        k_perp = k * np.cos(theta)
+        return _rows_times(f(k * np.sin(theta), k_perp + 0j), k_perp)
 
-    return _quad_vec(g, 0.0, 0.5 * math.pi, cfg)
+    return _qag(g, 0.0, 0.5 * math.pi, cfg)
 
 
 def integrate_evanescent(f, omega: float, distance: float,
@@ -124,7 +233,8 @@ def integrate_evanescent(f, omega: float, distance: float,
     ``distance`` sets the exponential scale exp(-kappa * distance) of the
     integrand tail; integration stops once kappa * distance reaches
     ``tail_cutoff_decades`` e-folds.  Substituting k_par = (omega/c) cosh(u)
-    cancels the 1/kappa branch-point singularity.
+    cancels the 1/kappa branch-point singularity.  f takes the same (N,)
+    arrays and returns the same shapes as in integrate_propagating.
     """
     cfg = config or _DEFAULT
     if omega <= 0.0:
@@ -135,11 +245,10 @@ def integrate_evanescent(f, omega: float, distance: float,
     u_max = math.asinh(cfg.tail_cutoff_decades / (k * distance))
 
     def g(u):
-        k_par = k * math.cosh(u)
-        kappa = k * math.sinh(u)
-        return f(k_par, complex(0.0, kappa)) * (k * math.sinh(u))
+        kappa = k * np.sinh(u)
+        return _rows_times(f(k * np.cosh(u), 1j * kappa), kappa)
 
-    return _quad_vec(g, 0.0, u_max, cfg)
+    return _qag(g, 0.0, u_max, cfg)
 
 
 def integrate_angle(f, config: QuadratureConfig | None = None):

@@ -450,6 +450,31 @@ def test_renderer_matches_frozen_bytes():
     assert rendered == GOLDEN_VALIDATE_CSV
 
 
+def test_json_rows_are_the_bytes_of_json_dumps():
+    # The row template must write what the encoder would: sorted keys,
+    # escaped strings, booleans, numpy scalars, non-finite floats, no rows.
+    columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
+    tables = [
+        [
+            ["bracket-identity", True, 0.0, 1e-12, 'say "f3", \\ \u00e9'],
+            ["x", False, float("nan"), float("-inf"), ""],
+            ["y", None, np.float64(2.5e-06), 3, "tab\there"],
+        ],
+        [],
+    ]
+    meta = {"verb": "validate", "all_passed": np.bool_(False), "points": np.int64(3)}
+    for rows in tables:
+        expected = json.dumps(
+            {
+                "meta": {key: cli._pyval(value) for key, value in meta.items()},
+                "rows": [dict(zip(columns, row)) for row in rows],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        assert cli._render(meta, columns, rows, "json") == expected + "\n"
+
+
 def test_usage_errors_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["no-such-verb"]) == 2

@@ -24,6 +24,7 @@ from lateralvdw import (
     recoil_rate_quadrature,
     spectrum_coefficients,
 )
+from lateralvdw.constants import c
 from lateralvdw.dynamics import assisted_decay_rate
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
@@ -206,7 +207,7 @@ def test_density_integral_reproduces_assisted_correction():
     total = 0.0
     for j in range(n_phi):
         phi = 2.0 * math.pi * j / n_phi
-        f = lambda kp, kz: kp * rate_density(system, kp, phi)
+        f = lambda kp, kz: kp * np.array([rate_density(system, k, phi) for k in kp])
         radial = integrate_propagating(f, system.omega_a, cfg)
         radial += integrate_evanescent(f, system.omega_a, system.separation, cfg)
         total += radial.real
@@ -232,6 +233,12 @@ def test_density_linear_in_polarizability():
     for k_par, phi in ((0.3 * base.omega_a / 3e8, 0.0), (2e6, 1.1)):
         full = rate_density(base, k_par, phi)
         assert rate_density(halved, k_par, phi) == pytest.approx(0.5 * full, rel=1e-12)
+
+
+def test_density_rejects_the_light_line(peak_system):
+    # k_perp = 0 there; the density is singular, like the mode tensor.
+    with pytest.raises(ValueError, match="light line"):
+        rate_density(peak_system, peak_system.omega_a / c, 0.3)
 
 
 def test_near_field_expansion_accuracy():

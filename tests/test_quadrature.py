@@ -1,4 +1,5 @@
-"""Momentum-plane and azimuthal quadrature against analytic integrals."""
+"""Momentum-plane and azimuthal quadrature against analytic integrals and
+against scipy.integrate.quad_vec, the reference for the adaptive rule."""
 
 import cmath
 import math
@@ -7,17 +8,27 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
+import lateralvdw.forces
+import lateralvdw.quadrature
 from lateralvdw import (
+    CESIUM_WAVELENGTH,
     QuadratureConfig,
     QuadratureConvergenceError,
+    TwoAtomSystem,
+    assisted_rate_correction_quadrature,
+    greens_free_from_modes,
     hankel1,
     integrate_angle,
     integrate_evanescent,
     integrate_propagating,
+    nonresonant_force,
+    recoil_rate_profile,
     transverse_wavenumber,
 )
 from lateralvdw.constants import c
+from lateralvdw.quadrature import _GAUSS, _KRONROD, _NODES
 
 # Natural scale: k = omega/c = 1 per metre, so xi equals the distance in metres.
 OMEGA = c
@@ -63,7 +74,7 @@ def test_lateral_momentum_integrals_match_hankel_forms(xi: float):
     r = xi  # since omega/c = 1
 
     def kernel(power):
-        return lambda kp, kz: kp**power / kz * cmath.exp(1j * kz * r)
+        return lambda kp, kz: kp**power / kz * np.exp(1j * kz * r)
 
     for power, closed in (
         (2, math.pi * xi / (2.0 * r * r) * hankel1(1, xi)),
@@ -79,7 +90,7 @@ def test_lateral_momentum_integrals_match_hankel_forms(xi: float):
 def test_scalar_kernel_integral(xi: float):
     # int_0^inf k_par/k_perp e^{i k_perp r} dk_par = -i e^{i xi} / r.
     r = xi
-    f = lambda kp, kz: kp / kz * cmath.exp(1j * kz * r)
+    f = lambda kp, kz: kp / kz * np.exp(1j * kz * r)
     total = integrate_propagating(f, OMEGA) + integrate_evanescent(f, OMEGA, r)
     closed = -1j * cmath.exp(1j * xi) / r
     assert abs(total - closed) <= 1e-8 * abs(closed)
@@ -88,7 +99,7 @@ def test_scalar_kernel_integral(xi: float):
 def test_evanescent_tail_cutoff_converged():
     # Doubling the tail cutoff must not move the answer.
     r = 1.0
-    f = lambda kp, kz: kp**2 / kz * cmath.exp(1j * kz * r)
+    f = lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r)
     base = integrate_evanescent(f, OMEGA, r, QuadratureConfig(tail_cutoff_decades=40.0))
     deep = integrate_evanescent(f, OMEGA, r, QuadratureConfig(tail_cutoff_decades=80.0))
     assert abs(base - deep) <= 1e-12 * abs(base)
@@ -96,7 +107,7 @@ def test_evanescent_tail_cutoff_converged():
 
 def test_tolerance_configuration_controls_accuracy():
     r = 3.0
-    f = lambda kp, kz: kp**2 / kz * cmath.exp(1j * kz * r)
+    f = lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r)
     closed = math.pi * 3.0 / (2.0 * r * r) * hankel1(1, 3.0)
     for rel_tol, bound in ((1e-5, 1e-4), (1e-11, 1e-9)):
         cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
@@ -108,7 +119,7 @@ def test_tolerance_configuration_controls_accuracy():
 
 def test_vector_integrands_share_error_control():
     k = OMEGA / c
-    f = lambda kp, kz: np.array([kp, kp / kz, kp * kp])
+    f = lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1)
     total = integrate_propagating(f, OMEGA)
     assert total[0] == pytest.approx(0.5 * k * k, rel=1e-9)
     assert total[1] == pytest.approx(k, rel=1e-9)
@@ -169,3 +180,129 @@ def test_domain_errors():
         integrate_propagating(f, 0.0)
     with pytest.raises(ValueError):
         integrate_evanescent(f, OMEGA, 0.0)
+
+
+# -- the batched G10/K21 rule against scipy.integrate.quad_vec --------------
+
+
+def _quad_vec_reference(g, a, b, cfg):
+    """scipy's quad_vec on the same batched integrand, one node per call."""
+    res, _ = quad_vec(
+        lambda x: np.asarray(g(np.array([x])))[0],
+        a,
+        b,
+        epsabs=cfg.abs_tol,
+        epsrel=cfg.rel_tol,
+        limit=max(cfg.max_subdivisions, 10),
+        norm="max",
+    )
+    return res
+
+
+@pytest.fixture
+def reference_rule(monkeypatch):
+    """Calls fn with every adaptive integral routed through quad_vec."""
+
+    def run(fn):
+        with monkeypatch.context() as patch:
+            for module in (lateralvdw.quadrature, lateralvdw.forces):
+                patch.setattr(module, "_qag", _quad_vec_reference)
+            return fn()
+
+    return run
+
+
+def _relative_gap(value, reference) -> float:
+    return float(np.max(np.abs(np.asarray(value) - reference)) / np.max(np.abs(reference)))
+
+
+def test_kronrod_and_gauss_rules_integrate_monomials_exactly():
+    # K21 has degree 31 and the embedded G10 degree 19.
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(_KRONROD, _NODES**k) - exact) <= 1e-15
+        if k <= 19:
+            assert abs(np.dot(_GAUSS, _NODES**k) - exact) <= 1e-15
+    # Both degrees are sharp.
+    assert abs(np.dot(_GAUSS, _NODES**20) - 2.0 / 21.0) > 1e-8
+    assert abs(np.dot(_KRONROD, _NODES**32) - 2.0 / 33.0) > 1e-13
+
+
+@pytest.mark.parametrize("xi", [0.3, 1.0, 3.0, 10.0])
+def test_rule_matches_quad_vec_on_analytic_integrals(xi: float, reference_rule):
+    r = xi
+    kernels = [
+        lambda kp, kz: kp / kz * np.exp(1j * kz * r),
+        lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r),
+        lambda kp, kz: kp**4 / kz * np.exp(1j * kz * r),
+        lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1),
+    ]
+    for f in kernels:
+        for integral in (
+            lambda: integrate_propagating(f, OMEGA),
+            lambda: integrate_evanescent(f, OMEGA, r),
+        ):
+            assert _relative_gap(integral(), reference_rule(integral)) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", [0.3, 4.66, 20.0])
+def test_oracle_routes_match_quad_vec(xi: float, reference_rule):
+    system = TwoAtomSystem.cs_rb(xi * CESIUM_WAVELENGTH / (2.0 * math.pi))
+    r = system.separation
+    tight = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-30)
+    modes_cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-30)
+    delta = np.array([0.35 * r, -0.2 * r, 0.8 * r])
+    routes = [
+        (lambda: recoil_rate_profile(system, 32, tight)[1], 1e-13),
+        (lambda: assisted_rate_correction_quadrature(system, tight), 1e-13),
+        (lambda: nonresonant_force(system), 1e-13),
+        (lambda: greens_free_from_modes(delta, system.omega_a, modes_cfg), 1e-11),
+    ]
+    for route, bound in routes:
+        assert _relative_gap(route(), reference_rule(route)) <= bound
+
+
+@pytest.mark.parametrize(
+    "f, b",
+    [
+        (lambda x: np.exp(30j * x) / (1.0 + x * x), 5.0),
+        (lambda x: np.log(x), 1.0),
+        (lambda x: np.stack([x * np.sin(x), np.sqrt(x), np.exp(-50.0 * x)], axis=-1), 3.0),
+    ],
+)
+def test_rule_picks_the_panels_of_quad_vec(f, b: float):
+    # Same panels: the node count equals quad_vec's.  After the first panel
+    # each call holds both halves of every panel split in that round.
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+    sizes = []
+
+    def batched(x):
+        sizes.append(len(x))
+        return f(x)
+
+    value = lateralvdw.quadrature._qag(batched, 0.0, b, cfg)
+    reference, _, info = quad_vec(
+        f, 0.0, b, epsabs=0.0, epsrel=1e-10, limit=200, norm="max", full_output=True
+    )
+    assert sum(sizes) == info.neval
+    assert sizes[0] == 21 and all(n % 42 == 0 for n in sizes[1:])
+    assert _relative_gap(value, reference) <= 1e-13
+
+
+def test_rule_splits_several_panels_per_call():
+    # The oscillatory integrand needs several splits in a round: 31 panels
+    # come from far fewer integrand calls.
+    sizes = []
+
+    def batched(x):
+        sizes.append(len(x))
+        return np.exp(30j * x) / (1.0 + x * x)
+
+    lateralvdw.quadrature._qag(batched, 0.0, 5.0, QuadratureConfig(rel_tol=1e-10, abs_tol=0.0))
+    assert len(sizes) < sum(sizes) // 21 // 2
+
+
+def test_adaptive_rule_stalls_on_rough_integrand():
+    with pytest.raises(QuadratureConvergenceError) as excinfo:
+        integrate_propagating(lambda kp, kz: np.sin(1e8 * kp * kp), OMEGA)
+    assert excinfo.value.error_estimate > 0.0
