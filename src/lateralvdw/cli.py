@@ -21,12 +21,14 @@ identity, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
 import typing
+import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -39,7 +41,7 @@ from .constants import (
     CESIUM_WAVELENGTH,
     RUBIDIUM_POLARIZABILITY,
 )
-from .dynamics import DrivingParams, steady_state_population
+from .dynamics import DrivingParams, assisted_decay_rate, steady_state_population
 from .emission import emission_spectrum
 from .forces import lateral_force_closed_form, resonant_force_on_a, resonant_force_on_b
 from .system import TwoAtomSystem
@@ -174,8 +176,26 @@ def _validate_config(config: RunConfig, verb: str) -> None:
         raise ConfigError("p1 must lie in [0, 1]")
 
 
-def _resolve_population(config: RunConfig, default: float) -> float:
-    """Excited-state population: explicit p1, else drive-derived, else default."""
+def _drive_population(drive: DrivingParams, gamma_total: float | None = None) -> float:
+    """steady_state_population with each of its regime warnings as one stderr line.
+
+    The warnings are caught whatever the warning filters say (so also under
+    ``python -W error``) and never reach the data file.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p1 = steady_state_population(drive, gamma_total)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return p1
+
+
+def _resolve_population(config: RunConfig, default: float, system: TwoAtomSystem) -> float:
+    """Excited-state population: explicit p1, else drive-derived, else default.
+
+    A drive given by rabi and detuning is checked against the largest total
+    decay rate of atom A over the system's separations.
+    """
     if config.p1 is not None:
         return config.p1
     if config.rabi_over_detuning is not None:
@@ -185,7 +205,7 @@ def _resolve_population(config: RunConfig, default: float) -> float:
         drive = DrivingParams(
             rabi=config.rabi_over_detuning, detuning=1.0, duration=config.delta_t
         )
-        return steady_state_population(drive)
+        return _drive_population(drive)
     if config.rabi is not None or config.detuning is not None:
         if config.rabi is None or config.detuning is None:
             raise ConfigError("rabi and detuning must be given together")
@@ -193,7 +213,8 @@ def _resolve_population(config: RunConfig, default: float) -> float:
             drive = DrivingParams(
                 rabi=config.rabi, detuning=config.detuning, duration=config.delta_t
             )
-            return steady_state_population(drive)
+            gamma_total = float(np.max(assisted_decay_rate(system).gamma_total))
+            return _drive_population(drive, gamma_total)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return default
@@ -310,8 +331,8 @@ def _write_atomic(path: str, payload: str) -> None:
 
 
 def cmd_force_curve(config: RunConfig) -> tuple[dict, list]:
-    p1 = _resolve_population(config, default=1.0)
     system = _system_at(config, _sweep(config))
+    p1 = _resolve_population(config, 1.0, system)
     on_a = resonant_force_on_a(system, p1)
     on_b = resonant_force_on_b(system, p1)
     rows = np.column_stack(
@@ -338,11 +359,11 @@ def cmd_emission_spectrum(config: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_velocity(config: RunConfig) -> tuple[dict, list]:
-    p1 = _resolve_population(config, default=1e-2)
-    separations = _sweep(config)
-    force = lateral_force_closed_form(_system_at(config, separations), p1)
+    system = _system_at(config, _sweep(config))
+    p1 = _resolve_population(config, 1e-2, system)
+    force = lateral_force_closed_form(system, p1)
     velocity = force * config.delta_t / config.mass_a
-    rows = np.column_stack((separations, force, velocity)).tolist()
+    rows = np.column_stack((system.separation, force, velocity)).tolist()
     return {"p1": p1}, rows
 
 
@@ -455,7 +476,10 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and a
+    # warm main() would otherwise rebuild four subparsers on every call.
     parser = argparse.ArgumentParser(
         prog="lateralvdw",
         description="Lateral van der Waals force and emission-spectrum tables.",

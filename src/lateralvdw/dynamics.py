@@ -27,13 +27,16 @@ __all__ = [
 
 @dataclass
 class DecayRates:
-    """Free-space rate, scatterer-induced correction and their sum, 1/s."""
+    """Free-space rate, scatterer-induced correction and their sum, 1/s.
+
+    For a system with N separations the correction and the sum are (N,).
+    """
 
     gamma_free: float
-    gamma_correction: float
+    gamma_correction: float | np.ndarray
 
     @property
-    def gamma_total(self) -> float:
+    def gamma_total(self) -> float | np.ndarray:
         return self.gamma_free + self.gamma_correction
 
 
@@ -69,11 +72,13 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
 
     The correction is (2 mu0^2/hbar) omega^4 Im[d10 . G(r_A, r_B) alpha_B
     G(r_B, r_A) . d01]; it oscillates in sign with separation and is the
-    closed-form counterpart of the mode-resolved density integral.
+    closed-form counterpart of the mode-resolved density integral.  A
+    system with N separations gives (N,) corrections.
     """
     omega = system.omega_a
     outbound = system.dipole_a @ greens_free(system.position_a, system.position_b, omega)
-    sandwich = outbound @ _return_leg(system)
+    # Row by row as a (1, 3) @ (3, 1) product: the bits of the scalar dot.
+    sandwich = (outbound[..., None, :] @ _return_leg(system)[..., :, None])[..., 0, 0]
     return DecayRates(
         gamma_free=free_decay_rate(system),
         gamma_correction=_coupling(omega) / hbar * sandwich.imag,
@@ -93,7 +98,9 @@ def steady_state_population(
     """Weak-drive steady-state excited population Omega^2 / (4 Delta^2).
 
     Valid for Gamma << Omega << |Delta|; if ``gamma_total`` is supplied the
-    regime is checked and violations produce a warning, not an error.
+    regime is checked and violations produce a warning, not an error.  A
+    drive with Omega > 2 |Delta| would give p1 > 1; it is clamped to 1, with
+    a warning.
     """
     if drive.detuning == 0.0:
         raise ValueError("steady-state population requires a nonzero detuning")
@@ -105,7 +112,13 @@ def steady_state_population(
                 stacklevel=2,
             )
     p1 = drive.rabi**2 / (4.0 * drive.detuning**2)
-    return min(p1, 1.0)
+    if p1 > 1.0:
+        warnings.warn(
+            f"Omega^2 / (4 Delta^2) = {p1!r} exceeds 1; the population is clamped to 1",
+            stacklevel=2,
+        )
+        return 1.0
+    return p1
 
 
 def lateral_velocity(system: TwoAtomSystem, drive: DrivingParams) -> float:

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import hbar
+from .constants import c, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
-from .greens import _mode_tensors
+from .greens import _mode_factors
 from .quadrature import (
     QuadratureConfig,
     _rows_times,
@@ -194,10 +194,14 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     dx, dy, dz = system.position_a - system.position_b
     back = _return_leg(system)
     rate_scale = _coupling(omega) / hbar
+    transverse = d10 @ back
+    longitudinal = (c / omega) ** 2
 
     def profile(k_par, k_perp) -> np.ndarray:
-        tensors = _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis)
-        return rate_scale * np.einsum("a,...ab,b->...", d10, tensors, back).imag
+        # d10 . w (I - (c/omega)^2 k k) . back, without building the tensor.
+        weight, kvec = _mode_factors(dx, dy, dz, omega, k_par, k_perp, phis)
+        along = (kvec @ d10) * (kvec @ back)
+        return rate_scale * (weight * (transverse - longitudinal * along)).imag
 
     return profile
 

@@ -79,15 +79,19 @@ def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     positive = xi > 0.0
     if not positive.all():
         raise ValueError(f"xi must be positive, got {xi[~positive].flat[0]}")
-    c2 = np.cos(2.0 * xi)
-    s2 = np.sin(2.0 * xi)
-    xi2 = xi * xi
-    closed = 6.0 * xi * (3.0 - xi2) * c2 - (9.0 - 15.0 * xi2 + xi2 * xi2) * s2
-    # Clipped so the unused series branch cannot overflow at large xi.
-    small = np.minimum(xi, _SHAPE_SERIES_SWITCH)
-    small2 = small * small
-    series = small2 * small2 * small * np.polyval(_SHAPE_SERIES, small2)
-    shape = np.where(xi < _SHAPE_SERIES_SWITCH, series, closed)
+    # Each branch runs on its own entries only; a float is a 0-d array here.
+    shape = np.empty_like(xi)
+    small = xi < _SHAPE_SERIES_SWITCH
+    if small.any():
+        x = xi[small]
+        x2 = x * x
+        shape[small] = x2 * x2 * x * np.polyval(_SHAPE_SERIES, x2)
+    large = ~small
+    if large.any():
+        x = xi[large]
+        x2 = x * x
+        c2, s2 = np.cos(2.0 * x), np.sin(2.0 * x)
+        shape[large] = 6.0 * x * (3.0 - x2) * c2 - (9.0 - 15.0 * x2 + x2 * x2) * s2
     return shape if shape.ndim else float(shape)
 
 
@@ -211,14 +215,13 @@ def nonresonant_force(
     zeta_floor = 1e-9 * omega_a
 
     def integrand(zeta: np.ndarray) -> np.ndarray:
-        # One row per node: the kernels take a per-row frequency i zeta.
+        # One row per node: the kernels take an array of frequencies i zeta
+        # and share the one displacement between the rows.
         zeta = np.maximum(zeta, zeta_floor)
         kappa_a = 2.0 / hbar * omega_a / (omega_a**2 + zeta**2)
         alpha_b = alpha_b_static * omega_b**2 / (omega_b**2 + zeta**2)
-        rows_a = np.broadcast_to(r_a, zeta.shape + (3,))
-        rows_b = np.broadcast_to(r_b, zeta.shape + (3,))
-        g_back = _greens(rows_b, rows_a, 1j * zeta).real
-        grad = _greens_gradient(rows_a, rows_b, 1j * zeta).real
+        g_back = _greens(r_b, r_a, 1j * zeta).real
+        grad = _greens_gradient(r_a, r_b, 1j * zeta).real
         # grad of Tr[dyad . G(r, r_B) . G(r_B, r_A)] at r = r_A.
         contract = np.einsum("ij,nkjb,nbi->nk", dyad_sym, grad, g_back)
         return (zeta**4 * kappa_a * alpha_b)[:, None] * contract

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _EYE = np.eye(3)
+_DIAGONAL = np.arange(3)
 
 
 def _shape_coefficients(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,14 +50,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _displacements(r_from, r_to, omega: complex) -> tuple:
+def _displacements(r_from, r_to, omega) -> tuple:
     """Flattened rows of r_from - r_to: leading shape, distances, unit vectors, xi.
 
     Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
-    A complex omega gives a complex xi.
+    A complex omega gives a complex xi; an (N,) array of frequencies with
+    (3,) points gives N rows that share one displacement.
     """
     rr = np.asarray(r_from, dtype=float) - np.asarray(r_to, dtype=float)
-    lead = rr.shape[:-1]
+    lead = np.broadcast_shapes(rr.shape[:-1], np.shape(omega))
     rr = rr.reshape(-1, 3)
     dist = np.linalg.norm(rr, axis=-1)
     if (dist == 0.0).any():
@@ -71,7 +73,7 @@ def _displacements(r_from, r_to, omega: complex) -> tuple:
 # Lifshitz / Casimir-Polder rotation).
 
 
-def _greens(r_from, r_to, omega: complex) -> np.ndarray:
+def _greens(r_from, r_to, omega) -> np.ndarray:
     lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     a, b = _shape_coefficients(xi)
     scale = np.exp(1j * xi) / (4.0 * math.pi * dist)
@@ -80,7 +82,7 @@ def _greens(r_from, r_to, omega: complex) -> np.ndarray:
     return tensor.reshape(lead + (3, 3))
 
 
-def _greens_gradient(r_from, r_to, omega: complex) -> np.ndarray:
+def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
     lead, dist, unit, xi = _displacements(r_from, r_to, omega)
     inv = 1.0 / xi
     phase = np.exp(1j * xi)
@@ -123,14 +125,16 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     return _greens_gradient(r_from, r_to, omega)
 
 
-def _mode_tensors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
-                  phi: float | np.ndarray) -> np.ndarray:
-    """Mode tensor densities over k_par (K,) and phi: (K, P, 3, 3) for P azimuths.
+def _mode_factors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
+                  phi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar weight w and wave vector k of each mode; the tensor is w (I - (c/omega)^2 k k).
 
-    A float phi drops the P axis and float k_par, k_perp drop the K axis, so
-    scalars give one (3, 3) tensor.  k_perp is taken as given, so an
-    integrator can pass k cos(theta) on the propagating side instead of a
-    square root that cancels near the light line.
+    w = i e^{i (k_par (dx cos phi + dy sin phi) + k_perp |dz|)} / (8 pi^2 k_perp)
+    and k = (k_par cos phi, k_par sin phi, sign(dz) k_perp).  k_par (K,) and phi
+    (P,) give w over the (K, P) grid and k as (K, P, 3); a float phi drops
+    the P axis and float k_par, k_perp drop the K axis.  k_perp is taken as
+    given, so an integrator can pass k cos(theta) on the propagating side
+    instead of a square root that cancels near the light line.
     """
     grid = np.shape(k_par) + (1,) * np.ndim(phi)
     k_par, k_perp = np.reshape(k_par, grid), np.reshape(k_perp, grid)
@@ -139,9 +143,34 @@ def _mode_tensors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
     kvec[..., 0] = k_par * cos_p
     kvec[..., 1] = k_par * sin_p
     kvec[..., 2] = math.copysign(1.0, dz) * k_perp
-    phase = np.exp(1j * (k_par * (dx * cos_p + dy * sin_p) + k_perp * abs(dz)))
-    tensor = _EYE - (c / omega) ** 2 * kvec[..., :, None] * kvec[..., None, :]
-    return (1j / (8.0 * math.pi**2 * k_perp) * phase)[..., None, None] * tensor
+    # e^{i k_perp |dz|} depends on the node only; the lateral phase on both.
+    node = 1j / (8.0 * math.pi**2 * k_perp) * np.exp(1j * abs(dz) * k_perp)
+    return node * np.exp(k_par * (1j * (dx * cos_p + dy * sin_p))), kvec
+
+
+def _mode_tensors(weight: np.ndarray, kvec: np.ndarray, omega: float) -> np.ndarray:
+    """Mode tensor densities w (I - (c/omega)^2 k k) from the _mode_factors.
+
+    Any leading axes of w and k carry over: (K, P, 3, 3) on the (K, P) grid,
+    one (3, 3) tensor for scalars.  Built as the dyad of -(c/omega)^2 w k
+    with k plus w on the diagonal: one full-size product instead of four.
+    """
+    scaled = (-((c / omega) ** 2) * weight)[..., None] * kvec
+    tensor = scaled[..., :, None] * kvec[..., None, :]
+    tensor[..., _DIAGONAL, _DIAGONAL] += weight[..., None]
+    return tensor
+
+
+def _mode_ring(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
+               k_perp: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The mode tensors of (K,) nodes at (P,) azimuths, azimuth first: (P, K, 9).
+
+    Built on transposed views of the (K, P) factors; the 3 x 3 axes stay
+    contiguous, so the reshape copies nothing.
+    """
+    weight, kvec = _mode_factors(dx, dy, dz, omega, k_par, k_perp, phis)
+    tensor = _mode_tensors(weight.T, kvec.transpose(1, 0, 2), omega)
+    return tensor.reshape(len(phis), -1, 9)
 
 
 def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
@@ -164,7 +193,7 @@ def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
     k_perp = transverse_wavenumber(k_par, omega)
     if k_perp == 0.0:
         raise ValueError("mode tensor is singular on the light line k_par = omega/c")
-    return _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phi)
+    return _mode_tensors(*_mode_factors(dx, dy, dz, omega, k_par, k_perp, phi), omega)
 
 
 def greens_free_from_modes(delta_r, omega: float,
@@ -181,12 +210,9 @@ def greens_free_from_modes(delta_r, omega: float,
         raise ValueError("mode resolution requires a nonzero z displacement")
 
     def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
-        # One azimuth ring for the whole batch of K nodes: (P, K, 9) per level.
+        # One azimuth ring for the whole batch of K nodes.
         ring = integrate_angle(
-            lambda phis: np.moveaxis(
-                _mode_tensors(dx, dy, dz, omega, k_par, k_perp, phis), 1, 0
-            ).reshape(len(phis), -1, 9),
-            config,
+            lambda phis: _mode_ring(dx, dy, dz, omega, k_par, k_perp, phis), config
         )
         return k_par[:, None] * ring
 

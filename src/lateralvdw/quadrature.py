@@ -122,10 +122,8 @@ _GAUSS[11:20:2] = _WG[::-1]
 # Most panels bisected in one round, as in scipy.integrate.quad_vec.
 _MAX_SPLIT = 128
 
-
-def _panel_norm(values: np.ndarray) -> np.ndarray:
-    """Max-norm over the components of each panel's value: (M, ...) -> (M,)."""
-    return np.abs(values).reshape(len(values), -1).max(axis=1)
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
@@ -137,22 +135,23 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     values = np.asarray(g((centre[:, None] + half[:, None] * _NODES).ravel()))
-    values = values.reshape((len(lo), 21) + values.shape[1:])
-    h = np.abs(half).reshape((-1,) + (1,) * (values.ndim - 2))
+    tail = values.shape[1:]
+    # (M, 21, C): the rule sums run as matmuls over the node axis.
+    v = values.reshape(len(lo), 21, -1)
+    h = np.abs(half)
     # Summed node by node in order, as quad_vec does, so that the integral
     # does not move with the batch layout; cumsum is sequential on any axis.
-    weights = _KRONROD.reshape((21,) + (1,) * (values.ndim - 2))
-    kronrod = np.cumsum(weights * values, axis=1)[:, -1]
-    gauss = np.tensordot(_GAUSS, values, axes=(0, 1))
-    spread = np.tensordot(_KRONROD, np.abs(values - 0.5 * kronrod[:, None]), axes=(0, 1))
-    magnitude = np.tensordot(_KRONROD, np.abs(values), axes=(0, 1))
-    err = _panel_norm((kronrod - gauss) * h)
-    dabs = _panel_norm(spread * h)
+    kronrod = np.cumsum(_KRONROD[:, None] * v, axis=1)[:, -1]
+    gauss = _GAUSS @ v
+    spread = _KRONROD @ np.abs(v - 0.5 * kronrod[:, None])
+    magnitude = _KRONROD @ np.abs(v)
+    err = h * np.abs(kronrod - gauss).max(axis=1)
+    dabs = h * spread.max(axis=1)
     ratio = 200.0 * err / np.where(dabs != 0.0, dabs, 1.0)
     err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.minimum(1.0, ratio) ** 1.5, err)
-    rounding = _panel_norm(50.0 * np.finfo(float).eps * h * magnitude)
-    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
-    return half.reshape(h.shape) * kronrod, err, rounding
+    rounding = 50.0 * _EPS * h * magnitude.max(axis=1)
+    err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
+    return (half[:, None] * kronrod).reshape((len(lo),) + tail), err, rounding
 
 
 def _qag(g, a: float, b: float, cfg: QuadratureConfig):

@@ -23,6 +23,7 @@ from lateralvdw import (
 )
 from lateralvdw import cli
 from lateralvdw.cli import main
+from lateralvdw.dynamics import DrivingParams, steady_state_population
 from lateralvdw.validation import IdentityCheck
 
 
@@ -342,6 +343,52 @@ def test_rabi_over_detuning_sets_weak_drive_population(tmp_path, monkeypatch, ra
     assert main(args) == 0
     meta, _, _ = read_table(tmp_path / "velocity.csv")
     assert float(meta["p1"]) == p1
+
+
+def test_weak_drive_regime_warning_goes_to_stderr(tmp_path, monkeypatch, capsys):
+    # Omega = 1e7 /s is below 5 Gamma_total (~1.7e8 /s) for Cs near Rb.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("rabi = 1e7\ndetuning = 1e10\n")
+    base = ["velocity", "--points", "5", "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(base + ["--config", "run.cfg", "--output", "drive.csv"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "weak-excitation regime" in err[0]
+    p1 = steady_state_population(DrivingParams(rabi=1e7, detuning=1e10, duration=1e-2))
+    assert main(base + ["--p1", repr(p1), "--output", "plain.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "drive.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_clamped_population_warning_goes_to_stderr(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("rabi_over_detuning = 3.0\n")
+    base = ["force-curve", "--points", "5", "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(base + ["--config", "run.cfg", "--output", "drive.csv"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "clamped to 1" in err[0]
+    assert main(base + ["--p1", "1.0", "--output", "plain.csv"]) == 0
+    assert (tmp_path / "drive.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_cached_parser_gives_the_bytes_of_fresh_ones(tmp_path, monkeypatch):
+    # A warm main() reuses one parser; a flag of one call must not leak
+    # into the next.
+    monkeypatch.chdir(tmp_path)
+    runs = (["force-curve", "--log-scale"], ["force-curve"])
+    for i, args in enumerate(runs):
+        cli._build_parser.cache_clear()
+        assert main(args + ["--no-timestamp", "--output", f"fresh{i}.csv"]) == 0
+    for i, args in enumerate(runs):
+        assert main(args + ["--no-timestamp", "--output", f"warm{i}.csv"]) == 0
+    for i in range(len(runs)):
+        assert (tmp_path / f"fresh{i}.csv").read_bytes() == (tmp_path / f"warm{i}.csv").read_bytes()
+    assert (tmp_path / "warm0.csv").read_bytes() != (tmp_path / "warm1.csv").read_bytes()
 
 
 def test_force_curve_resolves_picometre_separations(tmp_path, monkeypatch):

@@ -120,7 +120,8 @@ def test_steady_state_population_detuning_sign_blind():
 
 def test_steady_state_population_saturates_at_unity():
     strong = DrivingParams(rabi=3e9, detuning=1e9, duration=1.0)
-    assert steady_state_population(strong) == 1.0
+    with pytest.warns(UserWarning, match="clamped to 1"):
+        assert steady_state_population(strong) == 1.0
 
 
 def test_steady_state_population_rejects_resonant_drive():

@@ -24,8 +24,12 @@ from lateralvdw import (
     recoil_rate_quadrature,
     spectrum_coefficients,
 )
-from lateralvdw.constants import c
+from lateralvdw.constants import c, hbar
 from lateralvdw.dynamics import assisted_decay_rate
+from lateralvdw.emission import _mode_sandwich_profile
+from lateralvdw.forces import _coupling, _return_leg
+from lateralvdw.greens import _mode_factors, _mode_ring, _mode_tensors
+from lateralvdw.quadrature import transverse_wavenumber
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
 COEFF_REFERENCE = {
@@ -233,6 +237,34 @@ def test_density_linear_in_polarizability():
     for k_par, phi in ((0.3 * base.omega_a / 3e8, 0.0), (2e6, 1.1)):
         full = rate_density(base, k_par, phi)
         assert rate_density(halved, k_par, phi) == pytest.approx(0.5 * full, rel=1e-12)
+
+
+@pytest.mark.parametrize("phis", [1.1, 2.0 * math.pi * np.arange(7) / 7], ids=["float", "array"])
+@pytest.mark.parametrize(
+    "k_ratio", [0.3, 2.5, np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0])],
+    ids=["propagating", "evanescent", "both"],
+)
+def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio):
+    # The tensor-free sandwich against d10 . T . back on the full mode tensor.
+    system = system_at_xi(1.3, "left")
+    omega = system.omega_a
+    k_par = k_ratio * omega / c
+    if np.ndim(k_par):
+        k_perp = np.array([transverse_wavenumber(k, omega) for k in k_par])
+    else:
+        k_perp = transverse_wavenumber(k_par, omega)
+    dx, dy, dz = system.position_a - system.position_b
+    tensors = _mode_tensors(*_mode_factors(dx, dy, dz, omega, k_par, k_perp, phis), omega)
+    contracted = np.einsum("a,...ab,b->...", system.dipole_a, tensors, _return_leg(system))
+    expected = _coupling(omega) / hbar * contracted.imag
+    got = _mode_sandwich_profile(system, phis)(k_par, k_perp)
+    assert np.shape(got) == np.shape(expected) == np.shape(k_par) + np.shape(phis)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    if np.ndim(k_par) and np.ndim(phis):
+        # The azimuth-first ring of the mode rebuild: the same tensors, moved.
+        moved = np.moveaxis(tensors, 1, 0).reshape(len(phis), -1, 9)
+        ring = _mode_ring(dx, dy, dz, omega, k_par, k_perp, phis)
+        assert np.array_equal(ring, moved)
 
 
 def test_density_rejects_the_light_line(peak_system):

@@ -267,6 +267,46 @@ def test_nonresonant_force_near_field_constant():
     assert ratio == pytest.approx(1.0, abs=2e-2)
 
 
+def _dipole_kernel(displacement: np.ndarray) -> np.ndarray:
+    """Static dipole kernel T = (3 uu - I) / r^3 of a displacement."""
+    r = np.linalg.norm(displacement)
+    u = displacement / r
+    return (3.0 * np.outer(u, u) - np.eye(3)) / r**3
+
+
+@pytest.mark.parametrize("xi", [7.4e-3, 2.2e-2, 7.4e-2])
+def test_nonresonant_force_tends_to_london_limit(xi: float):
+    """Nonretarded limit of the imaginary-frequency route.
+
+    With zeta^4 mu0^2 G G -> T T / (4 pi eps0)^2 and the frequency integral
+    of kappa_A alpha_B done exactly, F -> alpha_B(0) omega_B / (omega_A +
+    omega_B) / (16 pi^2 eps0^2) grad Tr[Re(d* d) T(r - r_B) T(r_B - r_A)] at
+    r = r_A.  The gradient here is a central difference; the gap closes
+    like retardation, about 0.4 xi^2.
+    """
+    system = system_at_xi(xi)
+    omega_a = system.omega_a
+    omega_b = angular_frequency(780.241e-9)
+    alpha_static = system.alpha_b * (omega_b**2 - omega_a**2) / omega_b**2
+    r_a, r_b = system.position_a, system.position_b
+    dyad = np.outer(np.conj(system.dipole_a), system.dipole_a).real
+    back = _dipole_kernel(r_b - r_a)
+
+    def trace(r: np.ndarray) -> float:
+        return float(np.trace(dyad @ _dipole_kernel(r - r_b) @ back))
+
+    h = 1e-4 * system.separation
+    gradient = np.array(
+        [(trace(r_a + h * e) - trace(r_a - h * e)) / (2.0 * h) for e in np.eye(3)]
+    )
+    london = (
+        alpha_static * omega_b / (omega_a + omega_b)
+        / (16.0 * math.pi**2 * epsilon_0**2) * gradient
+    )
+    gap = np.linalg.norm(nonresonant_force(system) - london) / np.linalg.norm(london)
+    assert gap <= 0.5 * xi**2
+
+
 def test_nonresonant_force_has_no_lateral_component():
     system = system_at_xi(0.3)
     force = nonresonant_force(system)
