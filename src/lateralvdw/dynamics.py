@@ -97,20 +97,14 @@ def steady_state_population(
 ) -> float:
     """Weak-drive steady-state excited population Omega^2 / (4 Delta^2).
 
-    Valid for Gamma << Omega << |Delta|; if ``gamma_total`` is supplied the
-    regime is checked and violations produce a warning, not an error.  A
-    drive with Omega > 2 |Delta| would give p1 > 1; it is clamped to 1, with
-    a warning.
+    Valid for Gamma << Omega << |Delta|.  The upper bound Omega <= |Delta|/5
+    is checked on every call and the lower bound 5 Gamma <= Omega when
+    ``gamma_total`` is supplied; a violation produces a warning, not an
+    error.  A drive with Omega > 2 |Delta| would give p1 > 1; it is clamped
+    to 1, with that warning alone.
     """
     if drive.detuning == 0.0:
         raise ValueError("steady-state population requires a nonzero detuning")
-    if gamma_total is not None:
-        if not (5.0 * gamma_total <= drive.rabi <= abs(drive.detuning) / 5.0):
-            warnings.warn(
-                "drive outside the weak-excitation regime Gamma << Omega << |Delta|; "
-                "the steady-state formula is only a leading-order estimate",
-                stacklevel=2,
-            )
     p1 = drive.rabi**2 / (4.0 * drive.detuning**2)
     if p1 > 1.0:
         warnings.warn(
@@ -118,6 +112,16 @@ def steady_state_population(
             stacklevel=2,
         )
         return 1.0
+    if gamma_total is None:
+        regime, floor = "Omega << |Delta|", 0.0
+    else:
+        regime, floor = "Gamma << Omega << |Delta|", 5.0 * gamma_total
+    if not (floor <= drive.rabi <= abs(drive.detuning) / 5.0):
+        warnings.warn(
+            f"drive outside the weak-excitation regime {regime}; "
+            "the steady-state formula is only a leading-order estimate",
+            stacklevel=2,
+        )
     return p1
 
 

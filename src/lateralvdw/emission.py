@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import c, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
-from .greens import _mode_factors
+from .greens import _azimuth_harmonics, _mode_node
 from .quadrature import (
     QuadratureConfig,
     _rows_times,
@@ -191,17 +191,32 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     """
     omega = system.omega_a
     d10 = system.dipole_a
-    dx, dy, dz = system.position_a - system.position_b
+    dz = system.position_a[2] - system.position_b[2]
     back = _return_leg(system)
-    rate_scale = _coupling(omega) / hbar
-    transverse = d10 @ back
-    longitudinal = (c / omega) ** 2
+    # d10 . (I - (c/omega)^2 k k) . back, with k = (k_par cos, k_par sin, k_z)
+    # and k_z = sign(dz) k_perp, is the monomials (1, k_z^2, k_par k_z,
+    # k_par^2) times this table times the harmonics (1, cos, sin, cos^2,
+    # cos sin, sin^2) of phi.
+    dyad = np.outer(d10, back)
+    pair = dyad + dyad.T
+    table = np.zeros((4, 6), dtype=complex)
+    table[0, 0] = d10 @ back
+    table[1, 0] = dyad[2, 2]
+    table[2, 1:3] = pair[:2, 2]
+    table[3, 3:] = dyad[0, 0], pair[0, 1], dyad[1, 1]
+    table[1:] *= -((c / omega) ** 2)
+    harmonics = _coupling(omega) / hbar * _azimuth_harmonics(phis)
+    side = math.copysign(1.0, dz)
 
     def profile(k_par, k_perp) -> np.ndarray:
-        # d10 . w (I - (c/omega)^2 k k) . back, without building the tensor.
-        weight, kvec = _mode_factors(dx, dy, dz, omega, k_par, k_perp, phis)
-        along = (kvec @ d10) * (kvec @ back)
-        return rate_scale * (weight * (transverse - longitudinal * along)).imag
+        k_z = side * k_perp
+        monomials = np.stack([np.ones_like(k_z), k_z * k_z, k_par * k_z, k_par * k_par],
+                             axis=-1)
+        # TwoAtomSystem puts both atoms on the z axis, so the lateral phase
+        # e^{i k_par (dx cos phi + dy sin phi)} of the mode weight is exactly
+        # 1 and the weight is the node factor alone.
+        node = np.expand_dims(_mode_node(dz, k_perp), -1)
+        return (node * (monomials @ table)).imag @ harmonics
 
     return profile
 

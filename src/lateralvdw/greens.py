@@ -125,6 +125,22 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     return _greens_gradient(r_from, r_to, omega)
 
 
+def _mode_node(dz: float, k_perp):
+    """The node factor i e^{i k_perp |dz|} / (8 pi^2 k_perp) of every mode weight."""
+    return 1j / (8.0 * math.pi**2 * k_perp) * np.exp(1j * abs(dz) * k_perp)
+
+
+def _azimuth_harmonics(phi: float | np.ndarray) -> np.ndarray:
+    """The table H = (1, cos, sin, cos^2, cos sin, sin^2) of phi.
+
+    A float phi gives shape (6,), (P,) azimuths give (6, P).  Apart from
+    the lateral phase, a mode tensor depends on phi only through these.
+    """
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    return np.array([np.ones_like(cos_p), cos_p, sin_p, cos_p * cos_p, cos_p * sin_p,
+                     sin_p * sin_p])
+
+
 def _mode_factors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
                   phi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scalar weight w and wave vector k of each mode; the tensor is w (I - (c/omega)^2 k k).
@@ -144,7 +160,7 @@ def _mode_factors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
     kvec[..., 1] = k_par * sin_p
     kvec[..., 2] = math.copysign(1.0, dz) * k_perp
     # e^{i k_perp |dz|} depends on the node only; the lateral phase on both.
-    node = 1j / (8.0 * math.pi**2 * k_perp) * np.exp(1j * abs(dz) * k_perp)
+    node = _mode_node(dz, k_perp)
     return node * np.exp(k_par * (1j * (dx * cos_p + dy * sin_p))), kvec
 
 
@@ -161,16 +177,25 @@ def _mode_tensors(weight: np.ndarray, kvec: np.ndarray, omega: float) -> np.ndar
     return tensor
 
 
-def _mode_ring(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
-               k_perp: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """The mode tensors of (K,) nodes at (P,) azimuths, azimuth first: (P, K, 9).
+def _mode_azimuth_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
+                      k_perp: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Sum over (P,) azimuths of the mode tensors of (K,) nodes, as (K, 9) rows.
 
-    Built on transposed views of the (K, P) factors; the 3 x 3 axes stay
-    contiguous, so the reshape copies nothing.
+    Each entry of w (I - (c/omega)^2 k k) is the node factor times the lateral
+    phase times one harmonic of phi, so the sum needs only the (K, 6) moments
+    of the phase against the harmonic table: one matmul, no (K, P, 3, 3) stack.
     """
-    weight, kvec = _mode_factors(dx, dy, dz, omega, k_par, k_perp, phis)
-    tensor = _mode_tensors(weight.T, kvec.transpose(1, 0, 2), omega)
-    return tensor.reshape(len(phis), -1, 9)
+    harmonics = _azimuth_harmonics(phis)
+    phase = np.exp(k_par[:, None] * (1j * (dx * harmonics[1] + dy * harmonics[2])))
+    one, cos_m, sin_m, cos2_m, cross_m, sin2_m = (phase @ harmonics.T).T
+    scale = -((c / omega) ** 2)
+    lateral = scale * k_par * k_par
+    mixed = scale * k_par * (math.copysign(1.0, dz) * k_perp)
+    xy, xz, yz = lateral * cross_m, mixed * cos_m, mixed * sin_m
+    rows = np.stack([one + lateral * cos2_m, xy, xz,
+                     xy, one + lateral * sin2_m, yz,
+                     xz, yz, one * (1.0 + scale * k_perp * k_perp)], axis=-1)
+    return _mode_node(dz, k_perp)[:, None] * rows
 
 
 def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
@@ -210,11 +235,11 @@ def greens_free_from_modes(delta_r, omega: float,
         raise ValueError("mode resolution requires a nonzero z displacement")
 
     def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
-        # One azimuth ring for the whole batch of K nodes.
-        ring = integrate_angle(
-            lambda phis: _mode_ring(dx, dy, dz, omega, k_par, k_perp, phis), config
+        # One azimuth integral for the whole batch of K nodes.
+        angular = integrate_angle(
+            lambda phis: _mode_azimuth_sum(dx, dy, dz, omega, k_par, k_perp, phis), config
         )
-        return k_par[:, None] * ring
+        return k_par[:, None] * angular
 
     total = integrate_propagating(integrand, omega, config)
     total = total + integrate_evanescent(integrand, omega, abs(dz), config)

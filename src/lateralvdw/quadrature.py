@@ -12,12 +12,17 @@ as the error estimate.
 The k_par integrals run QUADPACK's globally adaptive QAG scheme with the
 G10/K21 pair (Piessens et al., QUADPACK, Springer 1983): each round bisects
 the panels with the largest error estimates and evaluates all of their
-nodes in one integrand call.
+nodes in one integrand call.  One panel never stops the rule, so the
+first call already holds [a, b] and both of its halves (63 nodes), and the
+second round takes the halves from it.  A non-finite integral or error
+estimate raises QuadratureConvergenceError.
 
 Everything here is generic plumbing; the physics lives in the integrands
-the callers pass in.  Integrands take arrays: (k_par, k_perp) as (N,)
+the callers pass in.  The k_par integrands take (k_par, k_perp) as (N,)
 arrays with the branch Im k_perp >= 0 already resolved, and return values
-with a leading axis over the N nodes, (N,) or (N, ...).
+with a leading axis over the N nodes, (N,) or (N, ...).  The azimuth
+integrand takes the (P,) azimuths of one refinement level and returns the
+sum of its values over them.
 """
 
 from __future__ import annotations
@@ -139,18 +144,22 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
     # (M, 21, C): the rule sums run as matmuls over the node axis.
     v = values.reshape(len(lo), 21, -1)
     h = np.abs(half)
-    # Summed node by node in order, as quad_vec does, so that the integral
-    # does not move with the batch layout; cumsum is sequential on any axis.
-    kronrod = np.cumsum(_KRONROD[:, None] * v, axis=1)[:, -1]
-    gauss = _GAUSS @ v
-    spread = _KRONROD @ np.abs(v - 0.5 * kronrod[:, None])
-    magnitude = _KRONROD @ np.abs(v)
-    err = h * np.abs(kronrod - gauss).max(axis=1)
-    dabs = h * spread.max(axis=1)
-    ratio = 200.0 * err / np.where(dabs != 0.0, dabs, 1.0)
-    err = np.where((dabs != 0.0) & (err != 0.0), dabs * np.minimum(1.0, ratio) ** 1.5, err)
-    rounding = 50.0 * _EPS * h * magnitude.max(axis=1)
-    err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
+    # A non-finite node value turns the sums into inf or nan without a
+    # warning; _qag raises on the result.
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Summed node by node in order, as quad_vec does, so that the integral
+        # does not move with the batch layout; cumsum is sequential on any axis.
+        kronrod = np.cumsum(_KRONROD[:, None] * v, axis=1)[:, -1]
+        gauss = _GAUSS @ v
+        spread = _KRONROD @ np.abs(v - 0.5 * kronrod[:, None])
+        magnitude = _KRONROD @ np.abs(v)
+        err = h * np.abs(kronrod - gauss).max(axis=1)
+        dabs = h * spread.max(axis=1)
+        ratio = 200.0 * err / np.where(dabs != 0.0, dabs, 1.0)
+        scaled = dabs * np.minimum(1.0, ratio) ** 1.5
+        err = np.where((dabs != 0.0) & (err != 0.0), scaled, err)
+        rounding = 50.0 * _EPS * h * magnitude.max(axis=1)
+        err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
     return (half[:, None] * kronrod).reshape((len(lo),) + tail), err, rounding
 
 
@@ -164,18 +173,28 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
     The rule stops with at least two panels and a total error below tol/8,
     tol = max(abs_tol, rel_tol max|I|), or at the panel limit.  Panel
     choice and stopping follow scipy.integrate.quad_vec with norm="max".
+    A non-finite integral or error estimate raises.
     """
     limit = max(cfg.max_subdivisions, 10)
-    lo, hi = np.array([float(a)]), np.array([float(b)])
-    parts, errs, rounding = _gk21(g, lo, hi)
+    a, b = float(a), float(b)
+    m = 0.5 * (a + b)
+    # One panel never stops the rule (that needs two) nor reaches the limit
+    # (at least 10), so [a, b] is always bisected at m: the first call
+    # evaluates [a, b] and both halves, 63 nodes.
+    parts, errs, rounding = _gk21(g, np.array([a, a, m]), np.array([b, m, b]))
+    first = errs[0] + rounding[0]
+    if not np.isfinite(first):
+        raise QuadratureConvergenceError("adaptive integral is not finite", first)
+    lo, hi = np.array([a, m]), np.array([m, b])
+    parts, errs = parts[1:], errs[1:]
     # Like quad_vec, the rounding floor sums over every panel ever built.
-    rounding = rounding.sum()
+    floor = rounding[0] + rounding[1:].sum()
     while True:
         total, error = parts.sum(axis=0), errs.sum()
         tol = max(cfg.abs_tol, cfg.rel_tol * np.max(np.abs(total)))
-        if len(lo) >= 2 and (error < tol / 8.0 or error < rounding):
+        if error < tol / 8.0 or error < floor:
             break
-        if len(lo) >= limit or not (np.isfinite(error) and np.isfinite(rounding)):
+        if len(lo) >= limit or not (np.isfinite(error) and np.isfinite(floor)):
             break
         order = np.lexsort((lo, -errs))
         # Split the worst panel, then the next ones while the error already
@@ -190,9 +209,11 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         parts = np.concatenate([parts[keep], new_parts])
         errs = np.concatenate([errs[keep], new_errs])
-        rounding += new_rounding.sum()
-    err = error + rounding
+        floor += new_rounding.sum()
+    err = error + floor
     scale = np.max(np.abs(total))
+    if not (np.isfinite(scale) and np.isfinite(err)):
+        raise QuadratureConvergenceError("adaptive integral is not finite", err)
     if err > 10.0 * max(cfg.abs_tol, cfg.rel_tol * scale) and err > 1e-13 * scale:
         raise QuadratureConvergenceError("adaptive integral did not converge", err)
     return total[()]
@@ -257,16 +278,16 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
     for periodic integrands the rule is spectrally accurate, so successive
     levels give a sharp error estimate (the Richardson comparison).  The
     integrand is called once per level with the array of that level's
-    azimuths and returns values with a leading axis over them: shape (P,)
-    for a scalar integrand, (P, ...) for an array one.  A scalar integrand
-    gives a float, or a complex when the imaginary part is nonzero.
+    azimuths and returns the sum of its values over them: a scalar for a
+    scalar integrand, an array for an array one.  A scalar integrand gives a
+    float, or a complex when the imaginary part is nonzero.
     """
     cfg = config or _DEFAULT
     two_pi = 2.0 * math.pi
     n = 16
-    total = np.sum(f(two_pi * np.arange(n) / n), axis=0) * (two_pi / n)
+    total = np.asarray(f(two_pi * np.arange(n) / n)) * (two_pi / n)
     while n <= (1 << 16):
-        mid = np.sum(f(two_pi * (np.arange(n) + 0.5) / n), axis=0)
+        mid = np.asarray(f(two_pi * (np.arange(n) + 0.5) / n))
         refined = 0.5 * total + mid * (two_pi / (2 * n))
         delta = float(np.max(np.abs(refined - total)))
         scale = float(np.max(np.abs(refined)))

@@ -362,6 +362,23 @@ def test_weak_drive_regime_warning_goes_to_stderr(tmp_path, monkeypatch, capsys)
     assert (tmp_path / "drive.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+def test_strong_drive_ratio_warns_without_a_decay_rate(tmp_path, monkeypatch, capsys):
+    # rabi_over_detuning = 0.5 gives p1 = 0.0625 outside Omega << |Delta|;
+    # the CLI has no decay rate for this route, and the upper bound needs none.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("rabi_over_detuning = 0.5\n")
+    base = ["velocity", "--points", "5", "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(base + ["--config", "run.cfg", "--output", "drive.csv"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "weak-excitation regime" in err[0]
+    assert main(base + ["--p1", "0.0625", "--output", "plain.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "drive.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_clamped_population_warning_goes_to_stderr(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("rabi_over_detuning = 3.0\n")

@@ -144,6 +144,21 @@ def test_steady_state_population_warns_outside_weak_regime():
         steady_state_population(clean, gamma_total=gamma)
 
 
+def test_steady_state_population_checks_the_upper_bound_without_gamma():
+    import warnings
+
+    # Omega = |Delta|/2 is outside Omega << |Delta| whatever Gamma is.
+    strong = DrivingParams(rabi=5e8, detuning=1e9, duration=1.0)
+    with pytest.warns(UserWarning, match=r"regime Omega << \|Delta\|") as record:
+        assert steady_state_population(strong) == 0.0625
+    assert len(record) == 1
+    # At the edge Omega = |Delta|/5: no warning.
+    edge = DrivingParams(rabi=2e8, detuning=-1e9, duration=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steady_state_population(edge)
+
+
 def test_lateral_velocity_at_reference_point():
     system = TwoAtomSystem.cs_rb(1e-7)
     drive = DrivingParams(rabi=0.2 * 1e9, detuning=1e9, duration=1e-2)

@@ -28,7 +28,7 @@ from lateralvdw.constants import c, hbar
 from lateralvdw.dynamics import assisted_decay_rate
 from lateralvdw.emission import _mode_sandwich_profile
 from lateralvdw.forces import _coupling, _return_leg
-from lateralvdw.greens import _mode_factors, _mode_ring, _mode_tensors
+from lateralvdw.greens import _mode_factors, _mode_tensors
 from lateralvdw.quadrature import transverse_wavenumber
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
@@ -260,11 +260,6 @@ def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio):
     got = _mode_sandwich_profile(system, phis)(k_par, k_perp)
     assert np.shape(got) == np.shape(expected) == np.shape(k_par) + np.shape(phis)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-    if np.ndim(k_par) and np.ndim(phis):
-        # The azimuth-first ring of the mode rebuild: the same tensors, moved.
-        moved = np.moveaxis(tensors, 1, 0).reshape(len(phis), -1, 9)
-        ring = _mode_ring(dx, dy, dz, omega, k_par, k_perp, phis)
-        assert np.array_equal(ring, moved)
 
 
 def test_density_rejects_the_light_line(peak_system):

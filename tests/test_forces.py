@@ -25,6 +25,7 @@ from lateralvdw.constants import (
     epsilon_0,
 )
 from lateralvdw.emission import spectrum_coefficients
+from lateralvdw.system import _closed_form_scale
 
 
 def system_at_xi(xi: float, handedness: str = "right") -> TwoAtomSystem:
@@ -38,6 +39,27 @@ def test_gradient_route_reproduces_closed_form(xi: float):
     closed = lateral_force_closed_form(system, 1.0)
     gradient_route = resonant_force_on_a(system, 1.0).force[0]
     assert gradient_route == pytest.approx(closed, rel=1e-10)
+
+
+def _lateral_norm(xi: float) -> float:
+    """Magnitude scale of the lateral shape: its envelope, or (2/5) xi^5 below it."""
+    envelope = math.hypot(6.0 * xi * (3.0 - xi * xi), 9.0 - 15.0 * xi * xi + xi**4)
+    return min(envelope, 0.4 * xi**5)
+
+
+@given(
+    log_xi=st.floats(min_value=-3.0, max_value=3.0),
+    handedness=st.sampled_from(["right", "left"]),
+)
+def test_closed_form_matches_gradient_route_over_xi(log_xi: float, handedness: str):
+    # The gradient route cancels like eps/xi^4 at small xi; the tolerance
+    # follows that law, relative to the lateral norm.
+    xi = 10.0**log_xi
+    system = system_at_xi(xi, handedness)
+    closed = lateral_force_closed_form(system, 1.0)
+    gradient_route = resonant_force_on_a(system, 1.0).force[0]
+    error = abs(closed - gradient_route) / (_closed_form_scale(system) * _lateral_norm(xi))
+    assert error <= 1e-9 + 500.0 * np.finfo(float).eps / xi**4
 
 
 def test_no_out_of_plane_force():

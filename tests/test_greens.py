@@ -14,7 +14,13 @@ from lateralvdw import (
     greens_free_imag,
 )
 from lateralvdw.constants import c
-from lateralvdw.greens import greens_free_gradient_imag
+from lateralvdw.greens import (
+    _mode_azimuth_sum,
+    _mode_factors,
+    _mode_tensors,
+    greens_free_gradient_imag,
+)
+from lateralvdw.quadrature import transverse_wavenumber
 
 OMEGA = 2.0 * math.pi * c / 852e-9
 WAVELENGTH = 852e-9
@@ -247,3 +253,19 @@ def test_mode_tensor_over_phi_array_matches_per_phi_calls(k_ratio: float):
         single = greens_cylindrical_mode(delta, OMEGA, k_par, float(phi))
         assert single.shape == (3, 3)
         assert np.max(np.abs(tensor - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("dz", [0.8, -0.8])
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["level", "midpoints"])
+def test_mode_azimuth_sum_matches_summed_tensors(dz: float, offset: float):
+    # The harmonic-table sum of the mode rebuild against the tensor stack.
+    dx, dy, dz = np.array([0.3, -0.2, dz]) * WAVELENGTH
+    k_par = np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0]) * OMEGA / c
+    k_perp = np.array([transverse_wavenumber(k, OMEGA) for k in k_par])
+    phis = 2.0 * math.pi * (np.arange(16) + offset) / 16
+    tensors = _mode_tensors(*_mode_factors(dx, dy, dz, OMEGA, k_par, k_perp, phis), OMEGA)
+    expected = tensors.sum(axis=1).reshape(-1, 9)
+    got = _mode_azimuth_sum(dx, dy, dz, OMEGA, k_par, k_perp, phis)
+    assert got.shape == expected.shape == (len(k_par), 9)
+    scale = np.max(np.abs(expected), axis=1)
+    assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * scale)

@@ -127,11 +127,12 @@ def test_vector_integrands_share_error_control():
 
 
 def test_angle_integral_of_harmonics():
-    assert integrate_angle(lambda phi: np.ones_like(phi)) == pytest.approx(
+    # The integrand returns the sum of its values over the level's azimuths.
+    assert integrate_angle(lambda phi: np.sum(np.ones_like(phi))) == pytest.approx(
         2.0 * math.pi, rel=1e-12
     )
-    assert integrate_angle(lambda phi: np.cos(phi)) == pytest.approx(0.0, abs=1e-12)
-    assert integrate_angle(lambda phi: np.cos(phi) ** 2) == pytest.approx(
+    assert integrate_angle(lambda phi: np.sum(np.cos(phi))) == pytest.approx(0.0, abs=1e-12)
+    assert integrate_angle(lambda phi: np.sum(np.cos(phi) ** 2)) == pytest.approx(
         math.pi, rel=1e-12
     )
 
@@ -141,7 +142,7 @@ def test_angle_integral_of_harmonics():
     n=st.integers(min_value=0, max_value=4),
 )
 def test_angle_harmonic_orthogonality(m: int, n: int):
-    value = integrate_angle(lambda phi: np.cos(m * phi) * np.cos(n * phi))
+    value = integrate_angle(lambda phi: np.sum(np.cos(m * phi) * np.cos(n * phi)))
     if m != n:
         expected = 0.0
     elif m == 0:
@@ -152,14 +153,14 @@ def test_angle_harmonic_orthogonality(m: int, n: int):
 
 
 def test_angle_integral_returns_complex_when_needed():
-    value = integrate_angle(lambda phi: np.exp(1j * phi) + 2.0)
+    value = integrate_angle(lambda phi: np.sum(np.exp(1j * phi) + 2.0))
     assert isinstance(value, complex)
     assert value == pytest.approx(4.0 * math.pi, abs=1e-10)
 
 
 def test_angle_integral_stalls_on_rough_integrand():
     with pytest.raises(QuadratureConvergenceError) as excinfo:
-        integrate_angle(lambda phi: np.sin(1e8 * phi * phi))
+        integrate_angle(lambda phi: np.sum(np.sin(1e8 * phi * phi)))
     assert excinfo.value.error_estimate > 0.0
 
 
@@ -271,8 +272,9 @@ def test_oracle_routes_match_quad_vec(xi: float, reference_rule):
     ],
 )
 def test_rule_picks_the_panels_of_quad_vec(f, b: float):
-    # Same panels: the node count equals quad_vec's.  After the first panel
-    # each call holds both halves of every panel split in that round.
+    # Same panels: the node count equals quad_vec's.  The first call holds
+    # [0, b] and both of its halves; each later call holds both halves of
+    # every panel split in that round.
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
     sizes = []
 
@@ -285,7 +287,7 @@ def test_rule_picks_the_panels_of_quad_vec(f, b: float):
         f, 0.0, b, epsabs=0.0, epsrel=1e-10, limit=200, norm="max", full_output=True
     )
     assert sum(sizes) == info.neval
-    assert sizes[0] == 21 and all(n % 42 == 0 for n in sizes[1:])
+    assert sizes[0] == 63 and all(n % 42 == 0 for n in sizes[1:])
     assert _relative_gap(value, reference) <= 1e-13
 
 
@@ -306,3 +308,35 @@ def test_adaptive_rule_stalls_on_rough_integrand():
     with pytest.raises(QuadratureConvergenceError) as excinfo:
         integrate_propagating(lambda kp, kz: np.sin(1e8 * kp * kp), OMEGA)
     assert excinfo.value.error_estimate > 0.0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda kp, kz: np.where(kp > 0.5, np.inf, 1.0),
+        lambda kp, kz: np.full(kp.shape, np.nan),
+        lambda kp, kz: np.where(kp > 0.5, np.inf, -np.inf),
+    ],
+    ids=["inf", "nan", "inf-minus-inf"],
+)
+def test_adaptive_rule_raises_on_non_finite_integrals(f):
+    # RuntimeWarning is an error in this suite: the rule must raise its own
+    # error instead of returning inf or nan, and warn about nothing.
+    with pytest.raises(QuadratureConvergenceError):
+        integrate_propagating(f, OMEGA)
+    with pytest.raises(QuadratureConvergenceError):
+        integrate_evanescent(f, OMEGA, 1.0)
+
+
+def test_adaptive_rule_raises_on_a_non_finite_first_panel():
+    # Only the centre node of [0, 2] is infinite; the halves, fused into the
+    # first call, are finite but must not be used.
+    sizes = []
+
+    def batched(x):
+        sizes.append(len(x))
+        return np.where(x == 1.0, np.inf, x)
+
+    with pytest.raises(QuadratureConvergenceError):
+        lateralvdw.quadrature._qag(batched, 0.0, 2.0, QuadratureConfig())
+    assert sizes == [63]
