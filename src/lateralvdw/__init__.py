@@ -19,6 +19,7 @@ from .constants import (
 from .dynamics import (
     DecayRates,
     DrivingParams,
+    accumulated_velocity,
     assisted_decay_rate,
     free_decay_rate,
     impulse_velocity_single_shot,
@@ -112,6 +113,7 @@ __all__ = [
     "assisted_decay_rate",
     "population",
     "steady_state_population",
+    "accumulated_velocity",
     "lateral_velocity",
     "impulse_velocity_single_shot",
     "IdentityCheck",

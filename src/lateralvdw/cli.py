@@ -41,7 +41,12 @@ from .constants import (
     CESIUM_WAVELENGTH,
     RUBIDIUM_POLARIZABILITY,
 )
-from .dynamics import DrivingParams, assisted_decay_rate, steady_state_population
+from .dynamics import (
+    DrivingParams,
+    accumulated_velocity,
+    assisted_decay_rate,
+    steady_state_population,
+)
 from .emission import emission_spectrum
 from .forces import lateral_force_closed_form, resonant_force_on_a, resonant_force_on_b
 from .system import TwoAtomSystem
@@ -362,7 +367,7 @@ def cmd_velocity(config: RunConfig) -> tuple[dict, list]:
     system = _system_at(config, _sweep(config))
     p1 = _resolve_population(config, 1e-2, system)
     force = lateral_force_closed_form(system, p1)
-    velocity = force * config.delta_t / config.mass_a
+    velocity = accumulated_velocity(force, config.delta_t, config.mass_a)
     rows = np.column_stack((system.separation, force, velocity)).tolist()
     return {"p1": p1}, rows
 

@@ -11,7 +11,7 @@ import numpy as np
 from .constants import c, hbar, mu_0
 from .forces import _coupling, _return_leg, lateral_force_closed_form
 from .greens import greens_free
-from .system import TwoAtomSystem
+from .system import TwoAtomSystem, _require_float_separation
 
 __all__ = [
     "DecayRates",
@@ -20,6 +20,7 @@ __all__ = [
     "assisted_decay_rate",
     "population",
     "steady_state_population",
+    "accumulated_velocity",
     "lateral_velocity",
     "impulse_velocity_single_shot",
 ]
@@ -125,15 +126,24 @@ def steady_state_population(
     return p1
 
 
-def lateral_velocity(system: TwoAtomSystem, drive: DrivingParams) -> float:
+def accumulated_velocity(force, duration: float, mass: float):
+    """Velocity v = force * duration / mass gained from rest under a constant force, m/s.
+
+    A float force gives a float; an array of forces (one per separation)
+    gives the array of velocities.
+    """
+    return force * duration / mass
+
+
+def lateral_velocity(system: TwoAtomSystem, drive: DrivingParams) -> float | np.ndarray:
     """Lateral velocity accumulated over the drive duration, m/s.
 
-    v = F_x(p1 = 1) * p1_ss * duration / mass_A, using the closed-form
-    lateral force and the steady-state population of the drive.
+    The accumulated_velocity of the closed-form lateral force at the
+    steady-state population p1 of the drive: v = F_x(p1) * duration / mass_A.
+    A system with N separations gives N velocities.
     """
-    p1 = steady_state_population(drive)
-    force = lateral_force_closed_form(system, 1.0)
-    return force * p1 * drive.duration / system.mass_a
+    force = lateral_force_closed_form(system, steady_state_population(drive))
+    return accumulated_velocity(force, drive.duration, system.mass_a)
 
 
 def impulse_velocity_single_shot(system: TwoAtomSystem, rates: DecayRates) -> float:
@@ -142,6 +152,7 @@ def impulse_velocity_single_shot(system: TwoAtomSystem, rates: DecayRates) -> fl
     The lateral impulse of a single emission event is F_x(p1 = 1) times the
     excited-state lifetime.
     """
+    _require_float_separation(system, "impulse_velocity_single_shot")
     if rates.gamma_total <= 0.0:
         raise ValueError("gamma_total must be positive for a single-shot estimate")
     force = lateral_force_closed_form(system, 1.0)

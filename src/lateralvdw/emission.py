@@ -32,7 +32,7 @@ from .quadrature import (
     transverse_wavenumber,
 )
 from .specfun import bessel_j, bessel_y
-from .system import TwoAtomSystem, _closed_form_scale
+from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
     "SpectrumCoefficients",
@@ -129,6 +129,7 @@ def recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     The handedness of the circular dipole mirrors the spectrum through the
     x-z plane, flipping the sign of the cos(phi) term only.
     """
+    _require_float_separation(system, "recoil_rate")
     _, hand = system.circular_parameters()
     bracket = _recoil_bracket(spectrum_coefficients(system.xi), hand, phi)
     return recoil_rate_prefactor(system) * float(bracket)
@@ -175,6 +176,7 @@ def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
     mode measure it reproduces the assisted-decay correction.  The density
     is singular on the light line k_par = omega/c, which raises ValueError.
     """
+    _require_float_separation(system, "rate_density")
     k_perp = transverse_wavenumber(k_par, system.omega_a)
     if k_perp == 0.0:
         raise ValueError("rate density is singular on the light line k_par = omega/c")
@@ -210,12 +212,15 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
 
     def profile(k_par, k_perp) -> np.ndarray:
         k_z = side * k_perp
-        monomials = np.stack([np.ones_like(k_z), k_z * k_z, k_par * k_z, k_par * k_par],
-                             axis=-1)
+        monomials = np.empty(np.shape(k_z) + (4,), dtype=complex)
+        monomials[..., 0] = 1.0
+        monomials[..., 1] = k_z * k_z
+        monomials[..., 2] = k_par * k_z
+        monomials[..., 3] = k_par * k_par
         # TwoAtomSystem puts both atoms on the z axis, so the lateral phase
         # e^{i k_par (dx cos phi + dy sin phi)} of the mode weight is exactly
         # 1 and the weight is the node factor alone.
-        node = np.expand_dims(_mode_node(dz, k_perp), -1)
+        node = _mode_node(dz, k_perp)[..., None]
         return (node * (monomials @ table)).imag @ harmonics
 
     return profile
@@ -255,6 +260,7 @@ def recoil_rate_quadrature(
     system: TwoAtomSystem, phi: float, config: QuadratureConfig | None = None
 ) -> float:
     """Recoil rate by direct quadrature of hbar k_par times the density."""
+    _require_float_separation(system, "recoil_rate_quadrature")
     return float(_k_par_moment(system, _recoil_weight, phi, config))
 
 
@@ -266,6 +272,7 @@ def recoil_rate_profile(
     Returns (phis, R values).  One shared k_par quadrature serves every
     azimuth, which keeps moment extraction (force, asymmetry) cheap.
     """
+    _require_float_separation(system, "recoil_rate_profile")
     phis = _azimuths(n_phi)
     return phis, _k_par_moment(system, _recoil_weight, phis, config).real
 
@@ -279,6 +286,7 @@ def assisted_rate_correction_quadrature(
     32-point periodic trapezoid is exact and only the k_par axis needs
     adaptive quadrature.
     """
+    _require_float_separation(system, "assisted_rate_correction_quadrature")
     phis = _azimuths(32)
     total = _k_par_moment(system, lambda k_par: k_par, phis, config)
     return float(np.sum(total.real) * (2.0 * math.pi / len(phis)))

@@ -23,9 +23,9 @@ from .constants import (
     hbar,
     mu_0,
 )
-from .greens import _greens, _greens_gradient, greens_free, greens_free_gradient
+from .greens import _displacements, _radial_coefficients, greens_free, greens_free_gradient
 from .quadrature import QuadratureConfig, _qag
-from .system import TwoAtomSystem, _closed_form_scale
+from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
     "ForceResult",
@@ -178,6 +178,37 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
     return _force_result(system, p1, _coupling(omega) * sandwich.real)
 
 
+def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):
+    """grad_k Tr[D G(r, r_B, i zeta) G(r_B, r_A, i zeta)] at r = r_A, as a function of zeta.
+
+    D is a real symmetric (3, 3) dyad.  The returned callable takes (N,)
+    frequencies zeta and (N,) weights and gives the (N, 3) weighted rows.
+    With both tensors A I + B uu and the gradient from
+    greens._radial_coefficients, the trace contracts to
+    u_k [A A' Tr D + (A B' + B A' + B B') u.D.u] + (B/r)(2A + B) P_k,
+    P = D u - (u.D.u) u: three dyad invariants, fixed per call, and no
+    (N, 3, 3) or (N, 3, 3, 3) tensor stack.
+    """
+    _, dist, unit = _displacements(r_a, r_b)
+    dist, unit = dist[0], unit[0]
+    radial = unit @ dyad @ unit
+    trace = np.trace(dyad)
+    axes = np.stack([unit, dyad @ unit - radial * unit])
+    # Every term carries phase^2 / (16 pi^2 r^3) times a product of shapes.
+    scale = 1.0 / (16.0 * math.pi**2 * dist**3)
+
+    def contraction(zeta: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        # At omega = i zeta every coefficient is real (xi = i eta).
+        phase, a, b, da, db = (part.real for part in _radial_coefficients(1j * zeta * dist / c))
+        weight = weight * (scale * phase * phase)
+        rows = np.empty((len(zeta), 2))
+        rows[:, 0] = weight * (a * da * trace + (a * db + b * (da + db)) * radial)
+        rows[:, 1] = weight * b * (2.0 * a + b)
+        return rows @ axes
+
+    return contraction
+
+
 def nonresonant_force(
     system: TwoAtomSystem,
     resonance_wavelength_b: float = RUBIDIUM_RESONANCE_WAVELENGTH,
@@ -195,6 +226,7 @@ def nonresonant_force(
     (Rb D2 by default).  Attractive, with the 1/r^7 near-field scaling and
     no lateral component.
     """
+    _require_float_separation(system, "nonresonant_force")
     cfg = config or QuadratureConfig()
     omega_a = system.omega_a
     omega_b = angular_frequency(resonance_wavelength_b)
@@ -205,26 +237,19 @@ def nonresonant_force(
     # Static value chosen so the model reproduces alpha_b at omega_a.
     alpha_b_static = system.alpha_b * (omega_b**2 - omega_a**2) / omega_b**2
 
-    r_a, r_b = system.position_a, system.position_b
     dyad = np.outer(np.conj(system.dipole_a), system.dipole_a)
     # Only the real (symmetric) part survives Re Tr{...} with real tensors.
-    dyad_sym = dyad.real
+    contraction = _trace_gradient_imag(dyad.real, system.position_a, system.position_b)
 
     # The integrand has a finite zeta -> 0 limit but the tensors are written
     # in terms of 1/zeta; the floor keeps an (unsampled) endpoint harmless.
     zeta_floor = 1e-9 * omega_a
 
     def integrand(zeta: np.ndarray) -> np.ndarray:
-        # One row per node: the kernels take an array of frequencies i zeta
-        # and share the one displacement between the rows.
         zeta = np.maximum(zeta, zeta_floor)
         kappa_a = 2.0 / hbar * omega_a / (omega_a**2 + zeta**2)
         alpha_b = alpha_b_static * omega_b**2 / (omega_b**2 + zeta**2)
-        g_back = _greens(r_b, r_a, 1j * zeta).real
-        grad = _greens_gradient(r_a, r_b, 1j * zeta).real
-        # grad of Tr[dyad . G(r, r_B) . G(r_B, r_A)] at r = r_A.
-        contract = np.einsum("ij,nkjb,nbi->nk", dyad_sym, grad, g_back)
-        return (zeta**4 * kappa_a * alpha_b)[:, None] * contract
+        return contraction(zeta, zeta**4 * kappa_a * alpha_b)
 
     zeta_max = cfg.tail_cutoff_decades * c / (2.0 * system.separation)
     fvec = _qag(
@@ -248,6 +273,7 @@ def torque_about_com(
     Only the lateral force on A contributes: the force on B is purely
     longitudinal and its lever arm is parallel to it.
     """
+    _require_float_separation(system, "torque_about_com")
     if mass_b <= 0.0:
         raise ValueError(f"mass_b must be positive, got {mass_b}")
     force_a = resonant_force_on_a(system, p1).force

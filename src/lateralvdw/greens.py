@@ -34,15 +34,10 @@ __all__ = [
 
 _EYE = np.eye(3)
 _DIAGONAL = np.arange(3)
-
-
-def _shape_coefficients(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse and radial scalar shapes a, b with
-    G = e^{i xi}/(4 pi r) * (a I + b RR), one per entry of xi."""
-    inv = 1.0 / xi
-    a = 1.0 + 1j * inv - inv * inv
-    b = -1.0 - 3j * inv + 3.0 * inv * inv
-    return a, b
+# Rows 1, cos^2, cos sin, sin^2 of the harmonic table: even under phi -> phi + pi.
+_EVEN = [0, 3, 4, 5]
+# The nine row-major entries of a symmetric tensor from xx, xy, xz, yy, yz, zz.
+_SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -50,49 +45,65 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _displacements(r_from, r_to, omega) -> tuple:
-    """Flattened rows of r_from - r_to: leading shape, distances, unit vectors, xi.
+def _displacements(r_from, r_to) -> tuple:
+    """Flattened rows of r_from - r_to: leading shape, distances and unit vectors.
 
     Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
-    A complex omega gives a complex xi; an (N,) array of frequencies with
-    (3,) points gives N rows that share one displacement.
     """
-    rr = np.asarray(r_from, dtype=float) - np.asarray(r_to, dtype=float)
-    lead = np.broadcast_shapes(rr.shape[:-1], np.shape(omega))
+    rr = np.subtract(r_from, r_to, dtype=float)
+    lead = rr.shape[:-1]
     rr = rr.reshape(-1, 3)
-    dist = np.linalg.norm(rr, axis=-1)
-    if (dist == 0.0).any():
+    # sqrt of the row sums of squares: the bits of np.linalg.norm, without its dispatch.
+    dist = np.sqrt(np.add.reduce(rr * rr, axis=-1))
+    if not dist.all():
         raise ValueError("Green's tensor requires two distinct points")
-    return lead, dist, rr / dist[:, None], omega * dist / c
+    return lead, dist, rr / dist[:, None]
 
 
-# The two kernels below take omega on the real axis or, for the
+# The kernels below take omega on the real axis or, for the
 # imaginary-frequency forms, at omega = i zeta.  There xi = i eta and every
 # coefficient continues term by term: a = 1 + 1/eta + 1/eta^2, the phase
 # e^{i xi} becomes e^{-eta}, and the tensors come out real (the standard
 # Lifshitz / Casimir-Polder rotation).
 
 
+def _shape_coefficients(xi: np.ndarray) -> tuple:
+    """Phase e^{i xi} and the shapes a, b of G = e^{i xi}/(4 pi r) (a I + b uu)."""
+    inv = 1.0 / xi
+    a = 1.0 + 1j * inv - inv * inv
+    b = -1.0 - 3j * inv + 3.0 * inv * inv
+    return np.exp(1j * xi), a, b
+
+
+def _radial_coefficients(xi: np.ndarray) -> tuple:
+    """Phase and shapes of the radial coefficients of G = A I + B uu.
+
+    Returns (phase, a, b, da, db) with A = phase a/(4 pi r), B = phase b/(4 pi r)
+    and their radial derivatives A' = phase da/(4 pi r^2), B' = phase db/(4 pi r^2).
+    The gradient of G with respect to r_from is
+    A' u_k I + B' u_k uu + (B/r) [(e_k - u_k u) u + u (e_k - u_k u)].
+    """
+    phase, a, b = _shape_coefficients(xi)
+    inv = 1.0 / xi
+    da = 1j * xi - 2.0 - 3j * inv + 3.0 * inv * inv
+    db = -1j * xi + 4.0 + 9j * inv - 9.0 * inv * inv
+    return phase, a, b, da, db
+
+
 def _greens(r_from, r_to, omega) -> np.ndarray:
-    lead, dist, unit, xi = _displacements(r_from, r_to, omega)
-    a, b = _shape_coefficients(xi)
-    scale = np.exp(1j * xi) / (4.0 * math.pi * dist)
+    """G(r_from, r_to, omega) per row; (N,) frequencies share one (3,) displacement."""
+    lead, dist, unit = _displacements(r_from, r_to)
+    phase, a, b = _shape_coefficients(omega * dist / c)
+    scale = phase / (4.0 * math.pi * dist)
     uu = unit[:, :, None] * unit[:, None, :]
     tensor = scale[:, None, None] * (a[:, None, None] * _EYE + b[:, None, None] * uu)
-    return tensor.reshape(lead + (3, 3))
+    return tensor.reshape((lead or np.shape(omega)) + (3, 3))
 
 
 def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
-    lead, dist, unit, xi = _displacements(r_from, r_to, omega)
-    inv = 1.0 / xi
-    phase = np.exp(1j * xi)
-
-    _, b = _shape_coefficients(xi)
-    # Radial derivatives of the scalar coefficients A(r) = e^{i xi} a/(4 pi r)
-    # and B(r) = e^{i xi} b/(4 pi r), expressed as shapes over 1/(4 pi r^2).
-    da = 1j * xi - 2.0 - 3j * inv + 3.0 * inv * inv
-    db = -1j * xi + 4.0 + 9j * inv - 9.0 * inv * inv
-
+    """grad[..., k, i, j] = d G_ij / d r_from[k], assembled from _radial_coefficients."""
+    lead, dist, unit = _displacements(r_from, r_to)
+    phase, _, b, da, db = _radial_coefficients(omega * dist / c)
     s2 = phase / (4.0 * math.pi * dist * dist)
     b_over_r = phase * b / (4.0 * math.pi * dist * dist)
 
@@ -102,7 +113,7 @@ def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
     # proj[k, i, j] = (delta_ki - u_k u_i) u_j, the transverse part of e_k.
     proj = (_EYE - uu)[:, :, :, None] * unit[:, None, None, :]
     grad = term + b_over_r[:, None, None, None] * (proj + proj.swapaxes(-1, -2))
-    return grad.reshape(lead + (3, 3, 3))
+    return grad.reshape((lead or np.shape(omega)) + (3, 3, 3))
 
 
 def greens_free(r_from, r_to, omega: float) -> np.ndarray:
@@ -177,25 +188,46 @@ def _mode_tensors(weight: np.ndarray, kvec: np.ndarray, omega: float) -> np.ndar
     return tensor
 
 
-def _mode_azimuth_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
-                      k_perp: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Sum over (P,) azimuths of the mode tensors of (K,) nodes, as (K, 9) rows.
+def _mode_level_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
+                    k_perp: np.ndarray):
+    """Level sums of the mode tensors of (K,) nodes, as a function of the level.
 
-    Each entry of w (I - (c/omega)^2 k k) is the node factor times the lateral
-    phase times one harmonic of phi, so the sum needs only the (K, 6) moments
-    of the phase against the harmonic table: one matmul, no (K, P, 3, 3) stack.
+    The returned callable takes the (P,) azimuths of one level and gives the
+    sum of w (I - (c/omega)^2 k k) over them as (K, 6) rows of the entries
+    xx, xy, xz, yy, yz, zz; ``_SYMMETRIC`` spreads them to the nine of the
+    row-major tensor.  Each entry is the node factor times the lateral phase
+    e^{i k_par t}, t = dx cos phi + dy sin phi, times one harmonic of phi, so
+    a level needs only the (K, 6) moments of the phase against the harmonic
+    table; the node factors are set up once for every level.  The level
+    must be closed under phi -> phi + pi with the shifted half last, as every
+    level of integrate_angle is.  There t and the odd harmonics (cos, sin)
+    flip sign while the even ones stay, so the even moments are 2 cos(k_par t)
+    and the odd ones 2i sin(k_par t) against the first half: real cos and sin
+    over half the azimuths, no complex exp.
     """
-    harmonics = _azimuth_harmonics(phis)
-    phase = np.exp(k_par[:, None] * (1j * (dx * harmonics[1] + dy * harmonics[2])))
-    one, cos_m, sin_m, cos2_m, cross_m, sin2_m = (phase @ harmonics.T).T
     scale = -((c / omega) ** 2)
     lateral = scale * k_par * k_par
-    mixed = scale * k_par * (math.copysign(1.0, dz) * k_perp)
-    xy, xz, yz = lateral * cross_m, mixed * cos_m, mixed * sin_m
-    rows = np.stack([one + lateral * cos2_m, xy, xz,
-                     xy, one + lateral * sin2_m, yz,
-                     xz, yz, one * (1.0 + scale * k_perp * k_perp)], axis=-1)
-    return _mode_node(dz, k_perp)[:, None] * rows
+    # i sign(dz) k_perp times the scale; the odd moments carry the i.
+    mixed = (1j * scale) * k_par * (math.copysign(1.0, dz) * k_perp)
+    axial = 1.0 + scale * k_perp * k_perp
+    node = (2.0 * _mode_node(dz, k_perp))[:, None]
+    k_col = k_par[:, None]
+
+    def level_sum(phis: np.ndarray) -> np.ndarray:
+        harmonics = _azimuth_harmonics(phis[: len(phis) // 2])
+        arg = k_col * (dx * harmonics[1] + dy * harmonics[2])
+        one, cos2_m, cross_m, sin2_m = (np.cos(arg) @ harmonics[_EVEN].T).T
+        cos_m, sin_m = (np.sin(arg) @ harmonics[1:3].T).T
+        rows = np.empty((len(k_par), 6), dtype=complex)
+        rows[:, 0] = one + lateral * cos2_m
+        rows[:, 1] = lateral * cross_m
+        rows[:, 2] = mixed * cos_m
+        rows[:, 3] = one + lateral * sin2_m
+        rows[:, 4] = mixed * sin_m
+        rows[:, 5] = one * axial
+        return node * rows
+
+    return level_sum
 
 
 def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
@@ -236,14 +268,15 @@ def greens_free_from_modes(delta_r, omega: float,
 
     def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
         # One azimuth integral for the whole batch of K nodes.
-        angular = integrate_angle(
-            lambda phis: _mode_azimuth_sum(dx, dy, dz, omega, k_par, k_perp, phis), config
+        return k_par[:, None] * integrate_angle(
+            _mode_level_sum(dx, dy, dz, omega, k_par, k_perp), config
         )
-        return k_par[:, None] * angular
 
+    # Both passes run over the six distinct entries: the repeated ones would
+    # change neither the sums nor the max-norm error control.
     total = integrate_propagating(integrand, omega, config)
     total = total + integrate_evanescent(integrand, omega, abs(dz), config)
-    return total.reshape(3, 3)
+    return total[_SYMMETRIC].reshape(3, 3)
 
 
 def greens_free_imag(r_from, r_to, zeta: float) -> np.ndarray:

@@ -28,6 +28,7 @@ sum of its values over them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +58,21 @@ class QuadratureConfig:
     tail_cutoff_decades: float = 40.0
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
+        # Each bound also rejects nan and inf: a nan tolerance never stops a
+        # rule and an infinite cutoff turns the evanescent range into nan.
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if not 0.0 <= self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and nonnegative, got {self.abs_tol}")
+        if (isinstance(self.max_subdivisions, bool)
+                or not isinstance(self.max_subdivisions, numbers.Integral)
+                or self.max_subdivisions < 1):
             raise ValueError(
-                f"max_subdivisions must be at least 1, got {self.max_subdivisions}"
+                f"max_subdivisions must be an integer of at least 1, got {self.max_subdivisions!r}"
             )
-        if not self.tail_cutoff_decades > 0.0:
+        if not 0.0 < self.tail_cutoff_decades < math.inf:
             raise ValueError(
-                f"tail_cutoff_decades must be positive, got {self.tail_cutoff_decades}"
+                f"tail_cutoff_decades must be finite and positive, got {self.tail_cutoff_decades}"
             )
 
 
@@ -131,6 +136,11 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
+def _max_abs(values) -> np.floating:
+    """max |values| over every entry, nan if any is nan; np.max without its dispatch."""
+    return np.maximum.reduce(np.abs(values), axis=None)
+
+
 def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """K21 integrals, error estimates and rounding floors of the panels [lo, hi].
 
@@ -148,18 +158,22 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
     # warning; _qag raises on the result.
     with np.errstate(invalid="ignore", over="ignore"):
         # Summed node by node in order, as quad_vec does, so that the integral
-        # does not move with the batch layout; cumsum is sequential on any axis.
-        kronrod = np.cumsum(_KRONROD[:, None] * v, axis=1)[:, -1]
+        # does not move with the batch layout; a cumulative sum (add.accumulate)
+        # is sequential on any axis.  The ufunc methods below skip the
+        # dispatch of their ndarray-method spellings.
+        kronrod = np.add.accumulate(_KRONROD[:, None] * v, axis=1)[:, -1]
         gauss = _GAUSS @ v
         spread = _KRONROD @ np.abs(v - 0.5 * kronrod[:, None])
         magnitude = _KRONROD @ np.abs(v)
-        err = h * np.abs(kronrod - gauss).max(axis=1)
-        dabs = h * spread.max(axis=1)
-        ratio = 200.0 * err / np.where(dabs != 0.0, dabs, 1.0)
-        scaled = dabs * np.minimum(1.0, ratio) ** 1.5
-        err = np.where((dabs != 0.0) & (err != 0.0), scaled, err)
-        rounding = 50.0 * _EPS * h * magnitude.max(axis=1)
-        err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
+        err = h * np.maximum.reduce(np.abs(kronrod - gauss), axis=1)
+        dabs = h * np.maximum.reduce(spread, axis=1)
+        # The QUADPACK scaling applies where both dabs and err are nonzero:
+        # on every panel but a flat or exactly integrated one.
+        scaled = (dabs != 0.0) & (err != 0.0)
+        ratio = np.divide(200.0 * err, dabs, out=np.zeros_like(err), where=scaled)
+        np.multiply(dabs, np.minimum(1.0, ratio) ** 1.5, out=err, where=scaled)
+        rounding = 50.0 * _EPS * h * np.maximum.reduce(magnitude, axis=1)
+        np.maximum(err, rounding, out=err, where=rounding > _TINY)
     return (half[:, None] * kronrod).reshape((len(lo),) + tail), err, rounding
 
 
@@ -183,18 +197,18 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
     # evaluates [a, b] and both halves, 63 nodes.
     parts, errs, rounding = _gk21(g, np.array([a, a, m]), np.array([b, m, b]))
     first = errs[0] + rounding[0]
-    if not np.isfinite(first):
+    if not math.isfinite(first):
         raise QuadratureConvergenceError("adaptive integral is not finite", first)
     lo, hi = np.array([a, m]), np.array([m, b])
     parts, errs = parts[1:], errs[1:]
     # Like quad_vec, the rounding floor sums over every panel ever built.
-    floor = rounding[0] + rounding[1:].sum()
+    floor = rounding[0] + np.add.reduce(rounding[1:])
     while True:
-        total, error = parts.sum(axis=0), errs.sum()
-        tol = max(cfg.abs_tol, cfg.rel_tol * np.max(np.abs(total)))
+        total, error = np.add.reduce(parts), np.add.reduce(errs)
+        tol = max(cfg.abs_tol, cfg.rel_tol * _max_abs(total))
         if error < tol / 8.0 or error < floor:
             break
-        if len(lo) >= limit or not (np.isfinite(error) and np.isfinite(floor)):
+        if len(lo) >= limit or not (math.isfinite(error) and math.isfinite(floor)):
             break
         order = np.lexsort((lo, -errs))
         # Split the worst panel, then the next ones while the error already
@@ -209,10 +223,10 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         parts = np.concatenate([parts[keep], new_parts])
         errs = np.concatenate([errs[keep], new_errs])
-        floor += new_rounding.sum()
+        floor += np.add.reduce(new_rounding)
     err = error + floor
-    scale = np.max(np.abs(total))
-    if not (np.isfinite(scale) and np.isfinite(err)):
+    scale = _max_abs(total)
+    if not (math.isfinite(scale) and math.isfinite(err)):
         raise QuadratureConvergenceError("adaptive integral is not finite", err)
     if err > 10.0 * max(cfg.abs_tol, cfg.rel_tol * scale) and err > 1e-13 * scale:
         raise QuadratureConvergenceError("adaptive integral did not converge", err)
@@ -278,9 +292,12 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
     for periodic integrands the rule is spectrally accurate, so successive
     levels give a sharp error estimate (the Richardson comparison).  The
     integrand is called once per level with the array of that level's
-    azimuths and returns the sum of its values over them: a scalar for a
-    scalar integrand, an array for an array one.  A scalar integrand gives a
-    float, or a complex when the imaginary part is nonzero.
+    azimuths: 2 pi j / 16, then the midpoints 2 pi (j + 1/2) / n of the
+    n-point grid for n = 16, 32, ...  Each level is closed under
+    phi -> phi + pi, with the shifted half last.  The integrand returns the
+    sum of its values over them: a scalar for a scalar integrand, an array
+    for an array one.  A scalar integrand gives a float, or a complex when
+    the imaginary part is nonzero.
     """
     cfg = config or _DEFAULT
     two_pi = 2.0 * math.pi
@@ -289,8 +306,8 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
     while n <= (1 << 16):
         mid = np.asarray(f(two_pi * (np.arange(n) + 0.5) / n))
         refined = 0.5 * total + mid * (two_pi / (2 * n))
-        delta = float(np.max(np.abs(refined - total)))
-        scale = float(np.max(np.abs(refined)))
+        delta = float(_max_abs(refined - total))
+        scale = float(_max_abs(refined))
         total, n = refined, 2 * n
         if delta <= max(cfg.abs_tol, cfg.rel_tol * scale):
             if total.ndim == 0:

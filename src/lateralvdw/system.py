@@ -168,6 +168,20 @@ class TwoAtomSystem:
         return circular_dipole_parameters(self.dipole_a)
 
 
+def _require_float_separation(system: TwoAtomSystem, route: str) -> None:
+    """Raise ValueError naming ``route`` unless the system holds one separation.
+
+    The quadrature, torque, single-shot and validation routes take a float
+    separation; an array would otherwise fail deep inside with an unrelated
+    TypeError or IndexError.
+    """
+    if np.ndim(system.separation):
+        raise ValueError(
+            f"{route} takes a float separation, got an array of "
+            f"{np.size(system.separation)} separations"
+        )
+
+
 def _closed_form_scale(system: TwoAtomSystem) -> float | np.ndarray:
     """d^2 alpha_B / (8 pi^2 eps0^2 r^7) in newtons, with d^2 = |d|^2 / 2.
 

@@ -30,7 +30,7 @@ from .forces import (
 )
 from .greens import greens_free, greens_free_from_modes
 from .quadrature import QuadratureConfig
-from .system import TwoAtomSystem
+from .system import TwoAtomSystem, _require_float_separation
 
 __all__ = ["IdentityCheck", "run_identity_checks"]
 
@@ -127,6 +127,7 @@ def run_identity_checks(
     (and the bracket identity) out of tolerance.
     """
     system = system or TwoAtomSystem.cs_rb(632e-9)
+    _require_float_separation(system, "run_identity_checks")
     cfg = config or _IDENTITY_QUADRATURE
 
     checks = [

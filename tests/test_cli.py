@@ -23,7 +23,7 @@ from lateralvdw import (
 )
 from lateralvdw import cli
 from lateralvdw.cli import main
-from lateralvdw.dynamics import DrivingParams, steady_state_population
+from lateralvdw.dynamics import DrivingParams, lateral_velocity, steady_state_population
 from lateralvdw.validation import IdentityCheck
 
 
@@ -193,6 +193,20 @@ def test_velocity_default_matches_reference_magnitude(tmp_path, monkeypatch):
     _, header, body = read_table(tmp_path / "velocity.csv")
     speed = abs(column(header, body, "v")[0])
     assert 600e-9 <= speed <= 1000e-9
+
+
+def test_velocity_column_is_lateral_velocity_of_the_same_drive(tmp_path, monkeypatch):
+    # One velocity formula: the CLI's v column and dynamics.lateral_velocity
+    # over the same separations and population agree bit for bit.  The drive
+    # Omega = 2e8, Delta = 1e9 gives p1 = 0.01 exactly.
+    monkeypatch.chdir(tmp_path)
+    args = ["velocity", "--points", "7", "--p1", "0.01", "--delta-t", "0.02", "--no-timestamp"]
+    assert main(args) == 0
+    _, header, body = read_table(tmp_path / "velocity.csv")
+    drive = DrivingParams(rabi=2e8, detuning=1e9, duration=0.02)
+    assert steady_state_population(drive) == 0.01
+    expected = lateral_velocity(TwoAtomSystem.cs_rb(column(header, body, "r")), drive)
+    assert np.array_equal(column(header, body, "v"), expected)
 
 
 def test_validate_passes_and_reports(tmp_path, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from lateralvdw import (
     DecayRates,
     DrivingParams,
     TwoAtomSystem,
+    accumulated_velocity,
     assisted_decay_rate,
     free_decay_rate,
     impulse_velocity_single_shot,
@@ -164,6 +165,21 @@ def test_lateral_velocity_at_reference_point():
     drive = DrivingParams(rabi=0.2 * 1e9, detuning=1e9, duration=1e-2)
     velocity = lateral_velocity(system, drive)
     assert velocity == pytest.approx(-7.96532e-7, rel=1e-4)
+
+
+def test_accumulated_velocity_is_force_times_duration_over_mass():
+    assert accumulated_velocity(3.0, 2.0, 4.0) == 1.5
+    forces = np.array([1e-20, -2e-20, 4e-21])
+    assert np.array_equal(accumulated_velocity(forces, 1e-2, 2.2e-25), forces * 1e-2 / 2.2e-25)
+
+
+def test_lateral_velocity_takes_an_array_of_separations():
+    separations = np.array([0.8e-7, 1e-7, 3e-7])
+    drive = DrivingParams(rabi=2e8, detuning=1e9, duration=1e-2)
+    velocities = lateral_velocity(TwoAtomSystem.cs_rb(separations), drive)
+    assert velocities.shape == (3,)
+    for r, v in zip(separations, velocities):
+        assert v == lateral_velocity(TwoAtomSystem.cs_rb(r), drive)
 
 
 def test_lateral_velocity_linear_in_duration_and_population():

@@ -10,11 +10,19 @@ from hypothesis import strategies as st
 from lateralvdw import (
     CESIUM_WAVELENGTH,
     TwoAtomSystem,
+    assisted_decay_rate,
+    assisted_rate_correction_quadrature,
+    impulse_velocity_single_shot,
     lateral_force_closed_form,
     lateral_force_shape,
     nonresonant_force,
+    rate_density,
+    recoil_rate,
+    recoil_rate_profile,
+    recoil_rate_quadrature,
     resonant_force_on_a,
     resonant_force_on_b,
+    run_identity_checks,
     torque_about_com,
 )
 from lateralvdw.constants import (
@@ -23,8 +31,12 @@ from lateralvdw.constants import (
     angular_frequency,
     c,
     epsilon_0,
+    hbar,
+    mu_0,
 )
 from lateralvdw.emission import spectrum_coefficients
+from lateralvdw.forces import _trace_gradient_imag
+from lateralvdw.greens import _greens, _greens_gradient
 from lateralvdw.system import _closed_form_scale
 
 
@@ -327,6 +339,96 @@ def test_nonresonant_force_tends_to_london_limit(xi: float):
     )
     gap = np.linalg.norm(nonresonant_force(system) - london) / np.linalg.norm(london)
     assert gap <= 0.5 * xi**2
+
+
+# The zeta integral of the nonresonant force at xi >> 1, where kappa_A and
+# alpha_B take their static values.  With zeta = eta c / r the integrand is
+# eta^4 e^{-2 eta} times the factored contraction, and sympy gives exactly
+#   int eta^4 e^{-2 eta} a a' d eta = -91/8          (coefficient of Tr D),
+#   int eta^4 e^{-2 eta} (a b' + b a' + b b') d eta = -49/8   (of u.D.u),
+# a = 1 + 1/eta + 1/eta^2, b = -1 - 3/eta - 3/eta^2, a' = -eta - 2 - 3/eta
+# - 3/eta^2, b' = eta + 4 + 9/eta + 9/eta^2.  For an isotropic D = alpha I
+# the bracket is -161/4 = -7 * 23/4: the 1/r^8 force of the Casimir-Polder
+# potential -23 hbar c alpha_A alpha_B / (4 pi (4 pi eps0)^2 r^7) (Casimir &
+# Polder, Phys. Rev. 73, 360 (1948)).
+_RETARDED_TRACE = -91.0 / 8.0
+_RETARDED_RADIAL = -49.0 / 8.0
+
+
+@pytest.mark.parametrize("xi", [50.0, 100.0, 200.0])
+def test_nonresonant_force_tends_to_casimir_polder_limit(xi: float):
+    """Retarded limit of the imaginary-frequency route.
+
+    F -> (hbar mu0^2 / pi) kappa_A(0) alpha_B(0) c^5 / (16 pi^2 r^8)
+    [-91/8 Tr D - 49/8 u.D.u] u, with kappa_A(0) = 2 / (hbar omega_A).  The
+    gap closes like the frequency dependence of the two polarisabilities,
+    measured 5.59, 5.61 and 5.62 / xi^2 at xi = 50, 100 and 200.
+    """
+    system = system_at_xi(xi)
+    omega_a = system.omega_a
+    omega_b = angular_frequency(780.241e-9)
+    alpha_static = system.alpha_b * (omega_b**2 - omega_a**2) / omega_b**2
+    dyad = np.outer(np.conj(system.dipole_a), system.dipole_a).real
+    unit = (system.position_a - system.position_b) / system.separation
+    bracket = _RETARDED_TRACE * np.trace(dyad) + _RETARDED_RADIAL * (unit @ dyad @ unit)
+    limit = (
+        hbar * mu_0**2 / math.pi * (2.0 / (hbar * omega_a)) * alpha_static
+        * c**5 / (16.0 * math.pi**2 * system.separation**8) * bracket * unit
+    )
+    force = nonresonant_force(system)
+    assert force[0] == force[1] == 0.0
+    assert limit[2] < 0.0
+    gap = abs(force[2] / limit[2] - 1.0)
+    assert gap <= 6.0 / xi**2
+
+
+def test_factored_zeta_contraction_matches_tensor_contraction():
+    """The nonresonant integrand's contraction against the full tensors.
+
+    grad_k Tr[D G(r, r_B) G(r_B, r_A)] at r = r_A, summed over the Green's
+    tensor and gradient stacks at imaginary frequencies, for a general real
+    symmetric D and an off-axis displacement, so that the lateral term
+    P = D u - (u.D.u) u is not zero.
+    """
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(3, 3))
+    dyad = raw + raw.T
+    r_a = np.array([0.1e-7, -0.3e-7, 0.2e-7])
+    r_b = np.array([1.3e-7, 0.4e-7, -2.6e-7])
+    zeta = np.geomspace(1e12, 1e17, 41)
+    g_back = _greens(r_b, r_a, 1j * zeta).real
+    grad = _greens_gradient(r_a, r_b, 1j * zeta).real
+    expected = np.einsum("ij,nkjb,nbi->nk", dyad, grad, g_back)
+
+    unit = (r_a - r_b) / np.linalg.norm(r_a - r_b)
+    lateral = dyad @ unit - (unit @ dyad @ unit) * unit
+    assert np.linalg.norm(lateral) > 0.1 * np.linalg.norm(dyad)
+    got = _trace_gradient_imag(dyad, r_a, r_b)(zeta, np.ones_like(zeta))
+    row_scale = np.max(np.abs(expected), axis=1)
+    assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * row_scale)
+
+
+_ARRAY_SYSTEM = TwoAtomSystem.cs_rb(np.array([2e-7, 3e-7]))
+
+
+@pytest.mark.parametrize(
+    "route, call",
+    [
+        ("nonresonant_force", lambda s: nonresonant_force(s)),
+        ("recoil_rate", lambda s: recoil_rate(s, 0.3)),
+        ("recoil_rate_profile", lambda s: recoil_rate_profile(s, 16)),
+        ("assisted_rate_correction_quadrature", assisted_rate_correction_quadrature),
+        ("recoil_rate_quadrature", lambda s: recoil_rate_quadrature(s, 0.3)),
+        ("rate_density", lambda s: rate_density(s, 1e6, 0.3)),
+        ("torque_about_com", lambda s: torque_about_com(s, 1.0)),
+        ("run_identity_checks", run_identity_checks),
+        ("impulse_velocity_single_shot",
+         lambda s: impulse_velocity_single_shot(s, assisted_decay_rate(s))),
+    ],
+)
+def test_scalar_routes_reject_an_array_of_separations(route, call):
+    with pytest.raises(ValueError, match=f"{route} takes a float separation"):
+        call(_ARRAY_SYSTEM)
 
 
 def test_nonresonant_force_has_no_lateral_component():

@@ -175,6 +175,30 @@ def test_config_validation():
         QuadratureConfig(tail_cutoff_decades=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("abs_tol", math.nan),
+        ("rel_tol", math.nan),
+        ("rel_tol", math.inf),
+        ("abs_tol", math.inf),
+        ("tail_cutoff_decades", math.inf),
+        ("tail_cutoff_decades", math.nan),
+        ("max_subdivisions", 2.5),
+        ("max_subdivisions", True),
+    ],
+)
+def test_config_rejects_non_finite_and_non_integer_settings(field, value):
+    # Each of these was accepted once: a nan abs_tol ran a route about 3x
+    # longer without an error, and an infinite cutoff leaked a RuntimeWarning.
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integer_subdivisions():
+    assert QuadratureConfig(max_subdivisions=np.int64(50)).max_subdivisions == 50
+
+
 def test_domain_errors():
     f = lambda kp, kz: kp
     with pytest.raises(ValueError):
