@@ -65,7 +65,7 @@ from .quadrature import (
     integrate_propagating,
     transverse_wavenumber,
 )
-from .specfun import bessel_j, bessel_y, hankel1
+from .specfun import bessel_j, bessel_y
 from .system import TwoAtomSystem, circular_dipole
 from .validation import IdentityCheck, run_identity_checks
 
@@ -76,7 +76,6 @@ __all__ = [
     "circular_dipole",
     "bessel_j",
     "bessel_y",
-    "hankel1",
     "QuadratureConfig",
     "QuadratureConvergenceError",
     "integrate_angle",

@@ -11,11 +11,16 @@ Output is CSV with '#'-prefixed metadata lines, or JSON with a "meta"
 object and a "rows" array (--format json).  Every number is rendered
 with repr() so a fixed configuration yields byte-identical files; the
 metadata timestamp is suppressed by --no-timestamp for that purpose.
+The three numeric verbs build their table as one float64 array, which
+is written in one %-formatting pass of a row template with %r cells;
+that is also the JSON encoder's text for a finite float.  A table with
+a non-finite cell is not written: the run stops with one error line
+naming the column and the separation.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
 Exit status: 0 on success, 1 when the validate verb finds a failing
-identity, 2 on configuration or usage errors.
+identity, 2 on configuration or usage errors and on a non-finite result.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -264,13 +268,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _json_cell(value) -> str:
-    """One JSON cell as json.dumps writes it; finite floats skip the encoder."""
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value)
-
-
 def _base_meta(config: RunConfig, verb: str) -> dict:
     meta = {
         "tool": "lateralvdw",
@@ -287,32 +284,50 @@ def _base_meta(config: RunConfig, verb: str) -> dict:
     return meta
 
 
-def _render(meta: dict, columns: typing.Sequence[str], rows: list, fmt: str, cell=repr) -> str:
+def _render(
+    meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str, cell=_format_value
+) -> str:
     """Serialise one table.
 
-    ``rows`` hold plain Python values; numeric tables come from
-    ``ndarray.tolist()``, so their cells are floats that ``repr`` renders
-    as the shortest round-tripping text.  Tables with other cell types
-    pass ``cell=_format_value``.  JSON ignores ``cell``: its cells are
-    written as json.dumps would write them.
+    A numeric table is a float64 array whose cells are all finite (``_run``
+    checks that).  It is written in one ``%`` pass: a row template with
+    ``%r`` cells, repeated once per row, filled from the flattened array.
+    ``%r`` of a finite float is its shortest round-tripping text, which is
+    also what json.dumps writes for it.  Any other table is a list of rows
+    of mixed cells, each formatted by ``cell`` (CSV) or json.dumps (JSON).
     """
+    numeric = isinstance(rows, np.ndarray)
+    spec = "%r" if numeric else "%s"
     if fmt == "json":
         # The bytes of json.dumps({"meta": ..., "rows": ...}, indent=2,
-        # sort_keys=True), with the rows filled into a per-row template.
+        # sort_keys=True), with the rows filled into a row template.
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        template = (
+            "    {\n"
+            + ",\n".join(f"      {json.dumps(columns[i])}: {spec}" for i in order)
+            + "\n    }"
+        )
+        separator, cell = ",\n", json.dumps
+    else:
+        order = list(range(len(columns)))
+        template, separator = ",".join([spec] * len(columns)), "\n"
+    if numeric:
+        cells = tuple(rows[:, order].ravel().tolist())
+    else:
+        cells = tuple(cell(row[i]) for row in rows for i in order)
+    body = separator.join([template] * len(rows)) % cells
+    if fmt == "json":
         meta_text = json.dumps(
             {"meta": {key: _pyval(value) for key, value in meta.items()}},
             indent=2,
             sort_keys=True,
         )
-        keys = sorted(columns)
-        template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
-        cells = [list(map(_json_cell, [row[i] for row in rows])) for i in map(columns.index, keys)]
-        body = ",\n".join(template % row for row in zip(*cells))
-        rows_text = f"[\n{body}\n  ]" if rows else "[]"
+        rows_text = f"[\n{body}\n  ]" if len(rows) else "[]"
         return f'{meta_text[:-2]},\n  "rows": {rows_text}\n}}\n'
     lines = [f"# {key} = {_format_value(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(cell, row)) for row in rows)
+    if len(rows):
+        lines.append(body)
     return "\n".join(lines) + "\n"
 
 
@@ -335,7 +350,7 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def cmd_force_curve(config: RunConfig) -> tuple[dict, list]:
+def cmd_force_curve(config: RunConfig) -> tuple[dict, np.ndarray]:
     system = _system_at(config, _sweep(config))
     p1 = _resolve_population(config, 1.0, system)
     on_a = resonant_force_on_a(system, p1)
@@ -349,26 +364,26 @@ def cmd_force_curve(config: RunConfig) -> tuple[dict, list]:
             on_b.force[:, 2],
             on_a.shape_factor[:, 0],
         )
-    ).tolist()
+    )
     return {"p1": p1}, rows
 
 
-def cmd_emission_spectrum(config: RunConfig) -> tuple[dict, list]:
+def cmd_emission_spectrum(config: RunConfig) -> tuple[dict, np.ndarray]:
     spectrum = emission_spectrum(_system_at(config, config.r), config.phi_points)
     rates = spectrum.rates
     peak = rates.max()
     scale = 1.0 / peak if peak > 0.0 else 0.0
-    rows = np.column_stack((spectrum.phis, rates, rates * scale)).tolist()
+    rows = np.column_stack((spectrum.phis, rates, rates * scale))
     fields = {"xi": spectrum.xi, "f1": spectrum.f1, "f2": spectrum.f2, "f3": spectrum.f3}
     return fields, rows
 
 
-def cmd_velocity(config: RunConfig) -> tuple[dict, list]:
+def cmd_velocity(config: RunConfig) -> tuple[dict, np.ndarray]:
     system = _system_at(config, _sweep(config))
     p1 = _resolve_population(config, 1e-2, system)
     force = lateral_force_closed_form(system, p1)
     velocity = accumulated_velocity(force, config.delta_t, config.mass_a)
-    rows = np.column_stack((system.separation, force, velocity)).tolist()
+    rows = np.column_stack((system.separation, force, velocity))
     return {"p1": p1}, rows
 
 
@@ -395,14 +410,17 @@ def cmd_validate(config: RunConfig) -> tuple[dict, list]:
 
 @dataclass(frozen=True)
 class _Verb:
-    """One verb: ``table`` maps the settings to (computed metadata, rows)."""
+    """One verb: ``table`` maps the settings to (computed metadata, table).
 
-    table: typing.Callable[[RunConfig], tuple[dict, list]]
+    The table is a float64 array for the numeric verbs and a list of
+    mixed-cell rows for validate.
+    """
+
+    table: typing.Callable[[RunConfig], tuple[dict, np.ndarray | list]]
     columns: tuple[str, ...]
     stem: str  # default output file name, without the format suffix
     help: str
     settings: tuple[str, ...]  # RunConfig fields echoed in the metadata
-    cell: typing.Callable = repr
     flags: tuple[tuple[str, str], ...] = ()  # (flag, help) of verb-only float flags
 
 
@@ -437,7 +455,6 @@ _VERBS = {
         "validation_report",
         "run the cross-validation identities",
         ("r", "f3_scale"),
-        cell=_format_value,
         flags=(
             ("--f3-scale", "perturb the closed-form asymmetry coefficient (sensitivity hook)"),
         ),
@@ -445,14 +462,30 @@ _VERBS = {
 }
 
 
+def _require_finite(table: np.ndarray, columns: tuple[str, ...], config: RunConfig) -> None:
+    """Raise ValueError naming the first non-finite cell of a numeric table."""
+    finite = np.isfinite(table)
+    if finite.all():
+        return
+    i, j = np.argwhere(~finite)[0]
+    key = float(table[i, 0])
+    where = f"r = {key!r}" if columns[0] == "r" else f"r = {config.r!r}, {columns[0]} = {key!r}"
+    raise ValueError(f"{columns[j]} is {float(table[i, j])!r} at {where}; no table written")
+
+
 def _run(config: RunConfig, name: str) -> int:
     """Build, write and announce one verb's table; return the exit status."""
     verb = _VERBS[name]
-    fields, rows = verb.table(config)
+    # An overflow is not a warning here: it leaves a non-finite cell, which
+    # the check below turns into one error line.
+    with np.errstate(all="ignore"):
+        fields, rows = verb.table(config)
+    if isinstance(rows, np.ndarray):
+        _require_finite(rows, verb.columns, config)
     meta = _base_meta(config, name)
     meta.update(fields)
     path = config.output if config.output is not None else f"{verb.stem}.{config.format}"
-    _write_atomic(path, _render(meta, verb.columns, rows, config.format, verb.cell))
+    _write_atomic(path, _render(meta, verb.columns, rows, config.format))
     print(f"wrote {path} ({len(rows)} rows)")
     # Only validate reports a verdict; a failing identity exits 1.
     return 0 if fields.get("all_passed", True) else 1

@@ -1,4 +1,4 @@
-"""Bessel functions J_n, Y_n and the outgoing Hankel function H_n^(1).
+"""Bessel functions J_n and Y_n.
 
 A checked wrapper over ``scipy.special.jv``/``yv`` (DLMF chapter 10) for
 the low integer orders on the positive real axis that the emission closed
@@ -8,7 +8,7 @@ forms need.  A float argument gives a float; an array gives an array.
 import numpy as np
 from scipy import special
 
-__all__ = ["bessel_j", "bessel_y", "hankel1"]
+__all__ = ["bessel_j", "bessel_y"]
 
 _ORDERS = (0, 1, 2, 3)
 
@@ -38,9 +38,3 @@ def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
     """Bessel function of the second kind, integer order 0..3, x > 0."""
     return _float_or_array(special.yv(order, _checked_argument(order, x)))
-
-
-def hankel1(order: int, x: float | np.ndarray) -> complex | np.ndarray:
-    """Outgoing Hankel function H_n^(1)(x) = J_n(x) + i Y_n(x)."""
-    j, y = bessel_j(order, x), bessel_y(order, x)
-    return complex(j, y) if np.ndim(j) == 0 else j + 1j * y

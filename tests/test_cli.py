@@ -553,6 +553,57 @@ def test_json_rows_are_the_bytes_of_json_dumps():
         assert cli._render(meta, columns, rows, "json") == expected + "\n"
 
 
+AWKWARD_CELLS = [-0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-4, 9.999e-05, 0.1 + 0.2]
+
+
+def _parity_tables():
+    rng = np.random.default_rng(20181)
+    wide = rng.standard_normal((5000, 6)) * 10.0 ** rng.integers(-300, 301, (5000, 6))
+    wide.flat[: len(AWKWARD_CELLS)] = AWKWARD_CELLS
+    yield wide
+    yield np.array([AWKWARD_CELLS])
+    yield np.array(AWKWARD_CELLS)[:, None]
+
+
+def test_float_array_tables_render_as_json_dumps_and_repr_rows():
+    # The one-pass %r writer against the encoder and against the per-row
+    # join of repr that it replaced, on awkward cells (signed zero, the
+    # smallest subnormal, both sides of repr's switch to exponent notation
+    # at 1e16 and 1e-4, 0.1 + 0.2) and exponents over +-300.  Lines are
+    # compared as lists so that a failure reports the first differing line.
+    names = ["r", "F_x", "v", "xi", "F_z_A", "phi", "R"]
+    meta = {"verb": "parity", "points": 3}
+    for table in _parity_tables():
+        columns = names[: table.shape[1]]
+        expected_json = json.dumps(
+            {"meta": meta, "rows": [dict(zip(columns, row)) for row in table.tolist()]},
+            indent=2,
+            sort_keys=True,
+        )
+        rendered = cli._render(meta, columns, table, "json")
+        assert rendered.split("\n") == (expected_json + "\n").split("\n")
+        expected_csv = [f"# {key} = {meta[key]}" for key in sorted(meta)]
+        expected_csv.append(",".join(columns))
+        expected_csv.extend(",".join(map(repr, row)) for row in table.tolist())
+        rendered = cli._render(meta, columns, table, "csv")
+        assert rendered.split("\n") == expected_csv + [""]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_exits_two_without_a_warning_or_a_file(tmp_path, monkeypatch, capsys, fmt):
+    # force * delta_t / mass overflows to -inf.  Under warnings-as-errors the
+    # overflow must neither raise nor warn, and the table must not be written.
+    monkeypatch.chdir(tmp_path)
+    args = ["velocity", "--delta-t", "1e308", "--r-min", "1e-12", "--r-max", "1e-11"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--points", "2", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: v is -inf at r = 1e-12; no table written\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["no-such-verb"]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
+from scipy.special import hankel1
 
 import lateralvdw.forces
 import lateralvdw.quadrature
@@ -19,7 +20,6 @@ from lateralvdw import (
     TwoAtomSystem,
     assisted_rate_correction_quadrature,
     greens_free_from_modes,
-    hankel1,
     integrate_angle,
     integrate_evanescent,
     integrate_propagating,

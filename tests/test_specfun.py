@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lateralvdw import bessel_j, bessel_y, hankel1
+from scipy.special import hankel1
+
+from lateralvdw import bessel_j, bessel_y
 
 # (x, order) -> (J_n(x), Y_n(x)); mpmath at 70 digits, rounded to 17.
 BESSEL_REFERENCE = {
@@ -127,17 +129,19 @@ def test_asymptotic_envelope():
 
 
 def test_hankel_combines_j_and_y():
+    # J_n + i Y_n from the wrappers against scipy's H_n^(1), which evaluates
+    # the Hankel function directly (AMOS zbesh) rather than from J and Y.
     for x in (0.3, 4.0, 25.0):
         for order in range(4):
-            expected = complex(bessel_j(order, x), bessel_y(order, x))
-            assert hankel1(order, x) == expected
+            combined = complex(bessel_j(order, x), bessel_y(order, x))
+            assert combined == pytest.approx(hankel1(order, x), rel=1e-14)
 
 
 @pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_bad_argument(bad_x: float):
     with pytest.raises(ValueError):
         bessel_j(0, bad_x)
-    for fn in (bessel_j, bessel_y, hankel1):
+    for fn in (bessel_j, bessel_y):
         with pytest.raises(ValueError):
             fn(1, np.array([0.5, bad_x, 2.0]))
 
@@ -148,12 +152,12 @@ def test_rejects_unsupported_order(bad_order: int):
         bessel_y(bad_order, 1.0)
 
 
-@pytest.mark.parametrize("fn", [bessel_j, bessel_y, hankel1])
+@pytest.mark.parametrize("fn", [bessel_j, bessel_y])
 def test_array_argument_matches_scalar_calls(fn):
     xs = np.geomspace(1e-3, 100.0, 57)
     for order in range(4):
         values = fn(order, xs)
         scalars = [fn(order, float(x)) for x in xs]
-        assert type(scalars[0]) in (float, complex)
+        assert type(scalars[0]) is float
         assert isinstance(values, np.ndarray) and values.shape == xs.shape
         assert values.tolist() == scalars
