@@ -55,7 +55,6 @@ from .greens import (
     greens_free,
     greens_free_from_modes,
     greens_free_gradient,
-    greens_free_imag,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -84,7 +83,6 @@ __all__ = [
     "transverse_wavenumber",
     "greens_free",
     "greens_free_gradient",
-    "greens_free_imag",
     "greens_cylindrical_mode",
     "greens_free_from_modes",
     "ForceResult",

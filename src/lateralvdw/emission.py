@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import c, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
-from .greens import _azimuth_harmonics, _mode_node
+from .greens import _MODE_TABLE, _SYMMETRIC, _azimuth_harmonics, _mode_monomials, _mode_node
 from .quadrature import (
     QuadratureConfig,
     _rows_times,
@@ -189,39 +189,23 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     Returns a callable (k_par, k_perp) -> rate densities, with the
     closed-form return leg hoisted out of the quadrature loop.  (K,) arrays
     of k_par and k_perp give (K,) densities for a float phi and (K, P) for
-    an array; floats drop the K axis.
+    an array; floats drop the K axis.  greens._MODE_TABLE contracts with the
+    weights of d10 . T . back on the six entries of the mode tensor T to the
+    sandwich's (4, 6) table of monomials by harmonics.
     """
     omega = system.omega_a
-    d10 = system.dipole_a
     dz = system.position_a[2] - system.position_b[2]
-    back = _return_leg(system)
-    # d10 . (I - (c/omega)^2 k k) . back, with k = (k_par cos, k_par sin, k_z)
-    # and k_z = sign(dz) k_perp, is the monomials (1, k_z^2, k_par k_z,
-    # k_par^2) times this table times the harmonics (1, cos, sin, cos^2,
-    # cos sin, sin^2) of phi.
-    dyad = np.outer(d10, back)
-    pair = dyad + dyad.T
-    table = np.zeros((4, 6), dtype=complex)
-    table[0, 0] = d10 @ back
-    table[1, 0] = dyad[2, 2]
-    table[2, 1:3] = pair[:2, 2]
-    table[3, 3:] = dyad[0, 0], pair[0, 1], dyad[1, 1]
-    table[1:] *= -((c / omega) ** 2)
+    weights = np.outer(system.dipole_a, _return_leg(system)).ravel() @ np.eye(6)[_SYMMETRIC]
+    table = _MODE_TABLE @ weights
     harmonics = _coupling(omega) / hbar * _azimuth_harmonics(phis)
     side = math.copysign(1.0, dz)
 
     def profile(k_par, k_perp) -> np.ndarray:
-        k_z = side * k_perp
-        monomials = np.empty(np.shape(k_z) + (4,), dtype=complex)
-        monomials[..., 0] = 1.0
-        monomials[..., 1] = k_z * k_z
-        monomials[..., 2] = k_par * k_z
-        monomials[..., 3] = k_par * k_par
         # TwoAtomSystem puts both atoms on the z axis, so the lateral phase
         # e^{i k_par (dx cos phi + dy sin phi)} of the mode weight is exactly
         # 1 and the weight is the node factor alone.
         node = _mode_node(dz, k_perp)[..., None]
-        return (node * (monomials @ table)).imag @ harmonics
+        return (node * (_mode_monomials(k_par, side * k_perp, omega) @ table)).imag @ harmonics
 
     return profile
 

@@ -28,21 +28,18 @@ __all__ = [
     "greens_free_gradient",
     "greens_cylindrical_mode",
     "greens_free_from_modes",
-    "greens_free_imag",
-    "greens_free_gradient_imag",
 ]
 
 _EYE = np.eye(3)
-_DIAGONAL = np.arange(3)
 # Rows 1, cos^2, cos sin, sin^2 of the harmonic table: even under phi -> phi + pi.
-_EVEN = [0, 3, 4, 5]
+_EVEN = np.array([0, 3, 4, 5])
 # The nine row-major entries of a symmetric tensor from xx, xy, xz, yy, yz, zz.
 _SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def _check_positive(name: str, value: float) -> None:
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _displacements(r_from, r_to) -> tuple:
@@ -60,10 +57,10 @@ def _displacements(r_from, r_to) -> tuple:
     return lead, dist, rr / dist[:, None]
 
 
-# The kernels below take omega on the real axis or, for the
-# imaginary-frequency forms, at omega = i zeta.  There xi = i eta and every
+# The coefficient kernels below take xi on the real axis or, for
+# nonresonant_force, at xi = i eta (omega = i zeta).  There every
 # coefficient continues term by term: a = 1 + 1/eta + 1/eta^2, the phase
-# e^{i xi} becomes e^{-eta}, and the tensors come out real (the standard
+# e^{i xi} becomes e^{-eta}, and all of them come out real (the standard
 # Lifshitz / Casimir-Polder rotation).
 
 
@@ -152,40 +149,31 @@ def _azimuth_harmonics(phi: float | np.ndarray) -> np.ndarray:
                      sin_p * sin_p])
 
 
-def _mode_factors(dx: float, dy: float, dz: float, omega: float, k_par, k_perp,
-                  phi: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar weight w and wave vector k of each mode; the tensor is w (I - (c/omega)^2 k k).
+# The one home of the mode tensor I - (c/omega)^2 k k: its entries xx, xy,
+# xz, yy, yz, zz are the _mode_monomials (m) and the _azimuth_harmonics (h)
+# contracted with the 0/1 table _MODE_TABLE[m, h, entry].
+_MODE_TABLE = np.zeros((4, 6, 6))
+_MODE_TABLE[tuple(np.transpose([
+    (0, 0, 0), (0, 0, 3), (0, 0, 5),  # 1: the identity
+    (1, 0, 5),  # k_z^2: zz
+    (2, 1, 2), (2, 2, 4),  # k_par k_z: cos for xz, sin for yz
+    (3, 3, 0), (3, 4, 1), (3, 5, 3),  # k_par^2: cos^2 for xx, cos sin for xy, sin^2 for yy
+]))] = 1.0
 
-    w = i e^{i (k_par (dx cos phi + dy sin phi) + k_perp |dz|)} / (8 pi^2 k_perp)
-    and k = (k_par cos phi, k_par sin phi, sign(dz) k_perp).  k_par (K,) and phi
-    (P,) give w over the (K, P) grid and k as (K, P, 3); a float phi drops
-    the P axis and float k_par, k_perp drop the K axis.  k_perp is taken as
-    given, so an integrator can pass k cos(theta) on the propagating side
-    instead of a square root that cancels near the light line.
+
+def _mode_monomials(k_par, k_z, omega: float) -> np.ndarray:
+    """The monomials (1, k_z^2, k_par k_z, k_par^2) of _MODE_TABLE; all but 1 times -(c/omega)^2.
+
+    k_par and k_z = sign(dz) k_perp share one shape; the result adds an axis of 4.
     """
-    grid = np.shape(k_par) + (1,) * np.ndim(phi)
-    k_par, k_perp = np.reshape(k_par, grid), np.reshape(k_perp, grid)
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-    kvec = np.empty(np.broadcast_shapes(grid, np.shape(phi)) + (3,), dtype=complex)
-    kvec[..., 0] = k_par * cos_p
-    kvec[..., 1] = k_par * sin_p
-    kvec[..., 2] = math.copysign(1.0, dz) * k_perp
-    # e^{i k_perp |dz|} depends on the node only; the lateral phase on both.
-    node = _mode_node(dz, k_perp)
-    return node * np.exp(k_par * (1j * (dx * cos_p + dy * sin_p))), kvec
-
-
-def _mode_tensors(weight: np.ndarray, kvec: np.ndarray, omega: float) -> np.ndarray:
-    """Mode tensor densities w (I - (c/omega)^2 k k) from the _mode_factors.
-
-    Any leading axes of w and k carry over: (K, P, 3, 3) on the (K, P) grid,
-    one (3, 3) tensor for scalars.  Built as the dyad of -(c/omega)^2 w k
-    with k plus w on the diagonal: one full-size product instead of four.
-    """
-    scaled = (-((c / omega) ** 2) * weight)[..., None] * kvec
-    tensor = scaled[..., :, None] * kvec[..., None, :]
-    tensor[..., _DIAGONAL, _DIAGONAL] += weight[..., None]
-    return tensor
+    scale = -((c / omega) ** 2)
+    scaled_z, scaled_par = scale * k_z, scale * k_par
+    monomials = np.empty(np.shape(k_z) + (4,), dtype=complex)
+    monomials[..., 0] = 1.0
+    monomials[..., 1] = scaled_z * k_z
+    monomials[..., 2] = scaled_par * k_z
+    monomials[..., 3] = scaled_par * k_par
+    return monomials
 
 
 def _mode_level_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
@@ -194,38 +182,28 @@ def _mode_level_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.nda
 
     The returned callable takes the (P,) azimuths of one level and gives the
     sum of w (I - (c/omega)^2 k k) over them as (K, 6) rows of the entries
-    xx, xy, xz, yy, yz, zz; ``_SYMMETRIC`` spreads them to the nine of the
-    row-major tensor.  Each entry is the node factor times the lateral phase
-    e^{i k_par t}, t = dx cos phi + dy sin phi, times one harmonic of phi, so
-    a level needs only the (K, 6) moments of the phase against the harmonic
-    table; the node factors are set up once for every level.  The level
-    must be closed under phi -> phi + pi with the shifted half last, as every
-    level of integrate_angle is.  There t and the odd harmonics (cos, sin)
-    flip sign while the even ones stay, so the even moments are 2 cos(k_par t)
-    and the odd ones 2i sin(k_par t) against the first half: real cos and sin
-    over half the azimuths, no complex exp.
+    xx, xy, xz, yy, yz, zz, which ``_SYMMETRIC`` spreads to nine.  w is the
+    node factor times the lateral phase e^{i k_par t}, t = dx cos phi + dy sin phi,
+    so a level contracts the node factor times the _mode_monomials, set up
+    once, and the (K, 6) moments of the phase against the harmonics through
+    _MODE_TABLE.  The level must be closed
+    under phi -> phi + pi with the shifted half last, as every level of
+    integrate_angle is.  There t and the odd harmonics (cos, sin) flip sign,
+    so the even moments are 2 cos(k_par t) and the odd ones 2i sin(k_par t)
+    over the first half: real cos and sin, no complex exp.
     """
-    scale = -((c / omega) ** 2)
-    lateral = scale * k_par * k_par
-    # i sign(dz) k_perp times the scale; the odd moments carry the i.
-    mixed = (1j * scale) * k_par * (math.copysign(1.0, dz) * k_perp)
-    axial = 1.0 + scale * k_perp * k_perp
-    node = (2.0 * _mode_node(dz, k_perp))[:, None]
+    k_z = math.copysign(1.0, dz) * k_perp
+    monomials = (2.0 * _mode_node(dz, k_perp))[:, None] * _mode_monomials(k_par, k_z, omega)
     k_col = k_par[:, None]
+    table = _MODE_TABLE.reshape(24, 6).astype(complex)
 
     def level_sum(phis: np.ndarray) -> np.ndarray:
         harmonics = _azimuth_harmonics(phis[: len(phis) // 2])
         arg = k_col * (dx * harmonics[1] + dy * harmonics[2])
-        one, cos2_m, cross_m, sin2_m = (np.cos(arg) @ harmonics[_EVEN].T).T
-        cos_m, sin_m = (np.sin(arg) @ harmonics[1:3].T).T
-        rows = np.empty((len(k_par), 6), dtype=complex)
-        rows[:, 0] = one + lateral * cos2_m
-        rows[:, 1] = lateral * cross_m
-        rows[:, 2] = mixed * cos_m
-        rows[:, 3] = one + lateral * sin2_m
-        rows[:, 4] = mixed * sin_m
-        rows[:, 5] = one * axial
-        return node * rows
+        moments = np.zeros((len(k_par), 6), dtype=complex)
+        moments.real[:, _EVEN] = np.cos(arg) @ harmonics[_EVEN].T
+        moments.imag[:, 1:3] = np.sin(arg) @ harmonics[1:3].T
+        return (monomials[:, :, None] * moments[:, None, :]).reshape(-1, 24) @ table
 
     return level_sum
 
@@ -239,18 +217,22 @@ def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
     ``delta_r`` is r_from - r_to and must have a nonzero z component, since
     the plane-wave factorisation exp(i k_perp |dz|) assumes the observation
     plane does not contain the source.  A float phi gives a (3, 3) tensor;
-    an array of P azimuths gives the (P, 3, 3) stack.
+    an array of P azimuths gives the (P, 3, 3) stack of w (I - (c/omega)^2 k k),
+    k = (k_par cos phi, k_par sin phi, sign(dz) k_perp), from _MODE_TABLE.
     """
     _check_positive("omega", omega)
-    if k_par < 0.0:
-        raise ValueError(f"k_par must be nonnegative, got {k_par}")
     dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:
         raise ValueError("cylindrical mode tensor requires a nonzero z displacement")
     k_perp = transverse_wavenumber(k_par, omega)
     if k_perp == 0.0:
         raise ValueError("mode tensor is singular on the light line k_par = omega/c")
-    return _mode_tensors(*_mode_factors(dx, dy, dz, omega, k_par, k_perp, phi), omega)
+    monomials = _mode_monomials(k_par, math.copysign(1.0, dz) * k_perp, omega)
+    harmonics = _azimuth_harmonics(phi)
+    # w: the node factor times the lateral phase e^{i k_par (dx cos phi + dy sin phi)}.
+    weight = _mode_node(dz, k_perp) * np.exp(1j * k_par * (dx * harmonics[1] + dy * harmonics[2]))
+    entries = weight * (np.tensordot(monomials, _MODE_TABLE, 1).T @ harmonics)
+    return np.moveaxis(entries[_SYMMETRIC], 0, -1).reshape(np.shape(phi) + (3, 3))
 
 
 def greens_free_from_modes(delta_r, omega: float,
@@ -278,14 +260,3 @@ def greens_free_from_modes(delta_r, omega: float,
     total = total + integrate_evanescent(integrand, omega, abs(dz), config)
     return total[_SYMMETRIC].reshape(3, 3)
 
-
-def greens_free_imag(r_from, r_to, zeta: float) -> np.ndarray:
-    """Green's tensor at imaginary frequency omega = i zeta; real, 1/m."""
-    _check_positive("zeta", zeta)
-    return _greens(r_from, r_to, 1j * zeta).real
-
-
-def greens_free_gradient_imag(r_from, r_to, zeta: float) -> np.ndarray:
-    """Gradient of greens_free_imag with respect to r_from; grad[k, i, j]."""
-    _check_positive("zeta", zeta)
-    return _greens_gradient(r_from, r_to, 1j * zeta).real

@@ -89,8 +89,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 def transverse_wavenumber(k_par: float, omega: float) -> complex:
     """k_perp = sqrt(omega^2/c^2 - k_par^2) on the branch Im k_perp >= 0."""
-    if k_par < 0.0:
-        raise ValueError(f"k_par must be nonnegative, got {k_par}")
+    if not 0.0 <= k_par < math.inf:
+        raise ValueError(f"k_par must be finite and nonnegative, got {k_par}")
     k = omega / c
     if k_par <= k:
         return complex(math.sqrt(k * k - k_par * k_par), 0.0)

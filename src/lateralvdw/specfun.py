@@ -1,7 +1,7 @@
 """Bessel functions J_n and Y_n.
 
 A checked wrapper over ``scipy.special.jv``/``yv`` (DLMF chapter 10) for
-the low integer orders on the positive real axis that the emission closed
+the orders 1 and 2 on the positive real axis that the emission closed
 forms need.  A float argument gives a float; an array gives an array.
 """
 
@@ -10,7 +10,7 @@ from scipy import special
 
 __all__ = ["bessel_j", "bessel_y"]
 
-_ORDERS = (0, 1, 2, 3)
+_ORDERS = (1, 2)
 
 
 def _checked_argument(order: int, x) -> np.ndarray:
@@ -31,10 +31,10 @@ def _float_or_array(values) -> float | np.ndarray:
 
 
 def bessel_j(order: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the first kind, integer order 0..3, x > 0."""
+    """Bessel function of the first kind, integer order 1 or 2, x > 0."""
     return _float_or_array(special.jv(order, _checked_argument(order, x)))
 
 
 def bessel_y(order: int, x: float | np.ndarray) -> float | np.ndarray:
-    """Bessel function of the second kind, integer order 0..3, x > 0."""
+    """Bessel function of the second kind, integer order 1 or 2, x > 0."""
     return _float_or_array(special.yv(order, _checked_argument(order, x)))

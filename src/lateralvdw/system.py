@@ -24,7 +24,7 @@ from .constants import (
     epsilon_0,
 )
 
-__all__ = ["TwoAtomSystem", "circular_dipole", "circular_dipole_parameters"]
+__all__ = ["TwoAtomSystem", "circular_dipole"]
 
 # Sign of atom B's z coordinate relative to atom A.  With a "right" dipole
 # this choice makes the lateral force point along +x where the closed-form
@@ -50,7 +50,7 @@ def circular_dipole(magnitude: float, handedness: str = "right") -> np.ndarray:
     return magnitude * np.array([sx, 0.0, 1.0])
 
 
-def circular_dipole_parameters(dipole: np.ndarray) -> tuple[float, float]:
+def _circular_dipole_parameters(dipole: np.ndarray) -> tuple[float, float]:
     """Extract (magnitude, handedness sign) from a circular x-z dipole.
 
     Accepts vectors proportional to (+-i, 0, 1) up to a global complex
@@ -165,7 +165,7 @@ class TwoAtomSystem:
 
     def circular_parameters(self) -> tuple[float, float]:
         """(d, handedness sign) of the circular dipole; raises if not circular."""
-        return circular_dipole_parameters(self.dipole_a)
+        return _circular_dipole_parameters(self.dipole_a)
 
 
 def _require_float_separation(system: TwoAtomSystem, route: str) -> None:

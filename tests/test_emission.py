@@ -28,7 +28,6 @@ from lateralvdw.constants import c, hbar
 from lateralvdw.dynamics import assisted_decay_rate
 from lateralvdw.emission import _mode_sandwich_profile
 from lateralvdw.forces import _coupling, _return_leg
-from lateralvdw.greens import _mode_factors, _mode_tensors
 from lateralvdw.quadrature import transverse_wavenumber
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
@@ -244,8 +243,8 @@ def test_density_linear_in_polarizability():
     "k_ratio", [0.3, 2.5, np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0])],
     ids=["propagating", "evanescent", "both"],
 )
-def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio):
-    # The tensor-free sandwich against d10 . T . back on the full mode tensor.
+def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio, mode_tensor_reference):
+    # The table-built sandwich against d10 . T . back on the dyad reference.
     system = system_at_xi(1.3, "left")
     omega = system.omega_a
     k_par = k_ratio * omega / c
@@ -253,9 +252,13 @@ def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio):
         k_perp = np.array([transverse_wavenumber(k, omega) for k in k_par])
     else:
         k_perp = transverse_wavenumber(k_par, omega)
-    dx, dy, dz = system.position_a - system.position_b
-    tensors = _mode_tensors(*_mode_factors(dx, dy, dz, omega, k_par, k_perp, phis), omega)
-    contracted = np.einsum("a,...ab,b->...", system.dipole_a, tensors, _return_leg(system))
+    delta = system.position_a - system.position_b
+    back = _return_leg(system)
+    contracted = np.array([
+        [system.dipole_a @ mode_tensor_reference(delta, omega, k, kz, phi) @ back
+         for phi in np.ravel(phis)]
+        for k, kz in zip(np.ravel(k_par), np.ravel(k_perp))
+    ]).reshape(np.shape(k_par) + np.shape(phis))
     expected = _coupling(omega) / hbar * contracted.imag
     got = _mode_sandwich_profile(system, phis)(k_par, k_perp)
     assert np.shape(got) == np.shape(expected) == np.shape(k_par) + np.shape(phis)

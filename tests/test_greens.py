@@ -11,16 +11,10 @@ from lateralvdw import (
     greens_free,
     greens_free_from_modes,
     greens_free_gradient,
-    greens_free_imag,
+    rate_density,
 )
 from lateralvdw.constants import c
-from lateralvdw.greens import (
-    _SYMMETRIC,
-    _mode_level_sum,
-    _mode_factors,
-    _mode_tensors,
-    greens_free_gradient_imag,
-)
+from lateralvdw.greens import _SYMMETRIC, _mode_level_sum, _radial_coefficients
 from lateralvdw.quadrature import transverse_wavenumber
 
 OMEGA = 2.0 * math.pi * c / 852e-9
@@ -168,105 +162,70 @@ def test_stacked_tensors_match_per_point_values(rng):
     assert np.max(np.abs(fixed[5] - greens_free(np.zeros(3), r2[5], OMEGA))) == 0.0
 
 
-def test_imaginary_frequency_tensor_is_real_and_decaying():
-    zeta = OMEGA
-    r_near = np.array([0.0, 0.0, 100e-9])
-    r_far = np.array([0.0, 0.0, 400e-9])
-    near = greens_free_imag(np.zeros(3), r_near, zeta)
-    far = greens_free_imag(np.zeros(3), r_far, zeta)
-    assert near.dtype == np.float64
-    assert np.max(np.abs(far)) < np.max(np.abs(near))
-    # Electrostatic kernel at small eta: continuing omega -> i zeta turns
-    # k^2 negative, so the (3uu - I) form flips sign relative to real omega.
-    k = zeta / c
-    r = 1e-4 / k
-    tensor = greens_free_imag(np.zeros(3), np.array([0.0, 0.0, r]), zeta)
-    static = np.diag([1.0, 1.0, -2.0]) / (4.0 * math.pi * k * k * r**3)
-    assert np.allclose(tensor, static, rtol=3e-4)
-
-
-def test_imaginary_frequency_gradient_matches_finite_differences(rng):
-    zeta = 0.7 * OMEGA
-    for _ in range(5):
-        r1, r2 = random_pair(rng)
-        sep = np.linalg.norm(r1 - r2)
-        analytic = greens_free_gradient_imag(r1, r2, zeta)
-        h = 6e-6 * sep
-        numeric = np.empty((3, 3, 3))
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            numeric[axis] = (
-                greens_free_imag(r1 + step, r2, zeta)
-                - greens_free_imag(r1 - step, r2, zeta)
-            ) / (2.0 * h)
-        scale = np.max(np.abs(analytic))
-        assert np.max(np.abs(analytic - numeric)) <= 1e-8 * scale
-
-
 @pytest.mark.parametrize("eta", [1e-3, 0.05, 1.0, 7.0, 40.0])
 def test_imaginary_frequency_forms_are_the_continued_kernel(eta: float):
-    # At omega = i zeta the kernel must reduce to the explicit real forms in
-    # eta = zeta r / c: a = 1 + 1/eta + 1/eta^2, b = -1 - 3/eta - 3/eta^2,
-    # radial derivatives da = -eta - 2 - 3/eta - 3/eta^2 and
-    # db = eta + 4 + 9/eta + 9/eta^2, decay e^{-eta}.
-    dist = 400e-9
-    unit = np.array([0.36, -0.48, 0.8])
-    zeta = eta * c / dist
+    # nonresonant_force evaluates the radial coefficients at xi = i eta
+    # (omega = i zeta); their real parts must be the explicit forms
+    # a = 1 + 1/eta + 1/eta^2, b = -1 - 3/eta - 3/eta^2, radial derivatives
+    # da = -eta - 2 - 3/eta - 3/eta^2 and db = eta + 4 + 9/eta + 9/eta^2,
+    # and the decay e^{-eta}.
     inv = 1.0 / eta
-    a = 1.0 + inv + inv * inv
-    b = -1.0 - 3.0 * inv - 3.0 * inv * inv
-    da = -eta - 2.0 - 3.0 * inv - 3.0 * inv * inv
-    db = eta + 4.0 + 9.0 * inv + 9.0 * inv * inv
-    decay = math.exp(-eta)
-    uu = np.outer(unit, unit)
-    tensor = decay / (4.0 * math.pi * dist) * (a * np.eye(3) + b * uu)
-    proj = np.einsum("ki,j->kij", np.eye(3) - uu, unit)
-    grad = decay / (4.0 * math.pi * dist * dist) * (
-        np.einsum("k,ij->kij", unit, da * np.eye(3) + db * uu)
-        + b * (proj + proj.swapaxes(1, 2))
+    expected = (
+        math.exp(-eta),
+        1.0 + inv + inv * inv,
+        -1.0 - 3.0 * inv - 3.0 * inv * inv,
+        -eta - 2.0 - 3.0 * inv - 3.0 * inv * inv,
+        eta + 4.0 + 9.0 * inv + 9.0 * inv * inv,
     )
-
-    got = greens_free_imag(dist * unit, np.zeros(3), zeta)
-    got_grad = greens_free_gradient_imag(dist * unit, np.zeros(3), zeta)
-    assert got.dtype == got_grad.dtype == np.float64
-    assert np.max(np.abs(got - tensor)) <= 1e-14 * np.max(np.abs(tensor))
-    assert np.max(np.abs(got_grad - grad)) <= 1e-14 * np.max(np.abs(grad))
+    for part, want in zip(_radial_coefficients(1j * eta), expected):
+        assert abs(part.real - want) <= 1e-14 * abs(want)
 
 
-def test_imaginary_frequency_forms_reject_nonpositive_zeta():
-    r = np.array([0.0, 0.0, 1e-7])
-    for zeta in (0.0, -OMEGA):
-        with pytest.raises(ValueError):
-            greens_free_imag(np.zeros(3), r, zeta)
-        with pytest.raises(ValueError):
-            greens_free_gradient_imag(np.zeros(3), r, zeta)
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
+    delta = np.array([0.0, 0.0, 400e-9])
+    calls = [
+        lambda: greens_free(np.zeros(3), delta, bad),
+        lambda: greens_free_gradient(np.zeros(3), delta, bad),
+        lambda: greens_cylindrical_mode(delta, bad, 1e6, 0.3),
+        lambda: greens_cylindrical_mode(delta, OMEGA, bad, 0.3),
+        lambda: rate_density(peak_system, bad, 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 @pytest.mark.parametrize("k_ratio", [0.0, 0.4, 0.99, 2.5])
-def test_mode_tensor_over_phi_array_matches_per_phi_calls(k_ratio: float):
-    delta = np.array([0.3, -0.2, -0.8]) * WAVELENGTH
+def test_mode_tensor_over_phi_array_matches_per_phi_calls(k_ratio: float, mode_tensor_reference):
     k_par = k_ratio * OMEGA / c
+    k_perp = transverse_wavenumber(k_par, OMEGA)
     phis = np.linspace(0.0, 2.0 * math.pi, 13)
-    stacked = greens_cylindrical_mode(delta, OMEGA, k_par, phis)
-    assert stacked.shape == (13, 3, 3)
-    for phi, tensor in zip(phis, stacked):
-        single = greens_cylindrical_mode(delta, OMEGA, k_par, float(phi))
-        assert single.shape == (3, 3)
-        assert np.max(np.abs(tensor - single)) <= 1e-14 * np.max(np.abs(single))
+    for dz in (-0.8, 0.8):
+        delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
+        stacked = greens_cylindrical_mode(delta, OMEGA, k_par, phis)
+        assert stacked.shape == (13, 3, 3)
+        for phi, tensor in zip(phis, stacked):
+            single = greens_cylindrical_mode(delta, OMEGA, k_par, float(phi))
+            assert single.shape == (3, 3)
+            assert np.max(np.abs(tensor - single)) <= 1e-14 * np.max(np.abs(single))
+            reference = mode_tensor_reference(delta, OMEGA, k_par, k_perp, phi)
+            assert np.max(np.abs(single - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("dz", [0.8, -0.8])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["level", "midpoints"])
-def test_mode_azimuth_sum_matches_summed_tensors(dz: float, offset: float):
-    # The harmonic-table sum of the mode rebuild against the tensor stack.
-    dx, dy, dz = np.array([0.3, -0.2, dz]) * WAVELENGTH
+def test_mode_azimuth_sum_matches_summed_tensors(dz: float, offset: float, mode_tensor_reference):
+    # The table-built level sum against the dyad reference summed per azimuth.
+    delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
     k_par = np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0]) * OMEGA / c
     k_perp = np.array([transverse_wavenumber(k, OMEGA) for k in k_par])
     phis = 2.0 * math.pi * (np.arange(16) + offset) / 16
-    tensors = _mode_tensors(*_mode_factors(dx, dy, dz, OMEGA, k_par, k_perp, phis), OMEGA)
-    expected = tensors.sum(axis=1).reshape(-1, 9)
-    got = _mode_level_sum(dx, dy, dz, OMEGA, k_par, k_perp)(phis)[:, _SYMMETRIC]
+    expected = np.array([
+        sum(mode_tensor_reference(delta, OMEGA, k, kz, phi) for phi in phis).ravel()
+        for k, kz in zip(k_par, k_perp)
+    ])
+    got = _mode_level_sum(*delta, OMEGA, k_par, k_perp)(phis)[:, _SYMMETRIC]
     assert got.shape == expected.shape == (len(k_par), 9)
     scale = np.max(np.abs(expected), axis=1)
     assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * scale)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scipy.special import hankel1
+from scipy.special import hankel1, jv, yv
 
 from lateralvdw import bessel_j, bessel_y
 
-# (x, order) -> (J_n(x), Y_n(x)); mpmath at 70 digits, rounded to 17.
+# (x, order) -> (J_n(x), Y_n(x)); mpmath at 70 digits, rounded to 17.  The
+# wrappers cover orders 1 and 2; orders 0 and 3 pin scipy's jv/yv, which
+# serve as the neighbouring orders in the identities below.
 BESSEL_REFERENCE = {
     (0.001, 0): (0.99999975000001562, -4.4714166113759233),
     (0.001, 1): (0.0004999999375000026, -636.62216723113943),
@@ -80,19 +82,31 @@ BESSEL_REFERENCE = {
 }
 
 
+def j_any(order: int, x: float) -> float:
+    """J_n from the wrapper at orders 1 and 2, from scipy at the neighbouring orders."""
+    return bessel_j(order, x) if order in (1, 2) else float(jv(order, x))
+
+
+def y_any(order: int, x: float) -> float:
+    """Y_n from the wrapper at orders 1 and 2, from scipy at the neighbouring orders."""
+    return bessel_y(order, x) if order in (1, 2) else float(yv(order, x))
+
+
 def test_matches_frozen_references():
     for (x, order), (j_ref, y_ref) in BESSEL_REFERENCE.items():
-        assert bessel_j(order, x) == pytest.approx(j_ref, rel=1e-12)
-        assert bessel_y(order, x) == pytest.approx(y_ref, rel=1e-12)
+        assert j_any(order, x) == pytest.approx(j_ref, rel=1e-12)
+        assert y_any(order, x) == pytest.approx(y_ref, rel=1e-12)
 
 
 def test_small_argument_limits():
     x = 1e-8
-    assert bessel_j(0, x) == pytest.approx(1.0, rel=1e-12)
+    assert j_any(0, x) == pytest.approx(1.0, rel=1e-12)
     assert bessel_j(1, x) == pytest.approx(x / 2.0, rel=1e-12)
     assert bessel_y(1, x) == pytest.approx(-2.0 / (math.pi * x), rel=1e-12)
+    assert bessel_j(2, x) == pytest.approx(x * x / 8.0, rel=1e-12)
+    assert bessel_y(2, x) == pytest.approx(-4.0 / (math.pi * x * x), rel=1e-12)
     euler_gamma = 0.5772156649015329
-    assert bessel_y(0, x) == pytest.approx(
+    assert y_any(0, x) == pytest.approx(
         (2.0 / math.pi) * (math.log(x / 2.0) + euler_gamma), rel=1e-12
     )
 
@@ -104,16 +118,14 @@ def test_small_argument_limits():
 def test_wronskian_property(exponent: float, order: int):
     # J_{n+1} Y_n - J_n Y_{n+1} = 2 / (pi x) for every x > 0.
     x = 10.0**exponent
-    wronskian = bessel_j(order + 1, x) * bessel_y(order, x) - bessel_j(
-        order, x
-    ) * bessel_y(order + 1, x)
+    wronskian = j_any(order + 1, x) * y_any(order, x) - j_any(order, x) * y_any(order + 1, x)
     assert wronskian == pytest.approx(2.0 / (math.pi * x), rel=1e-10)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_three_term_recurrence(order: int):
     for x in np.geomspace(0.01, 80.0, 41):
-        for fn in (bessel_j, bessel_y):
+        for fn in (j_any, y_any):
             low = fn(order - 1, x)
             mid = fn(order, x)
             high = fn(order + 1, x)
@@ -124,15 +136,17 @@ def test_three_term_recurrence(order: int):
 def test_asymptotic_envelope():
     x = 50.0
     envelope = math.sqrt(2.0 / (math.pi * x))
-    for order in range(4):
-        assert abs(hankel1(order, x)) == pytest.approx(envelope, rel=1e-2)
+    for order in (1, 2):
+        assert abs(complex(bessel_j(order, x), bessel_y(order, x))) == pytest.approx(
+            envelope, rel=1e-2
+        )
 
 
 def test_hankel_combines_j_and_y():
     # J_n + i Y_n from the wrappers against scipy's H_n^(1), which evaluates
     # the Hankel function directly (AMOS zbesh) rather than from J and Y.
     for x in (0.3, 4.0, 25.0):
-        for order in range(4):
+        for order in (1, 2):
             combined = complex(bessel_j(order, x), bessel_y(order, x))
             assert combined == pytest.approx(hankel1(order, x), rel=1e-14)
 
@@ -140,13 +154,13 @@ def test_hankel_combines_j_and_y():
 @pytest.mark.parametrize("bad_x", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_bad_argument(bad_x: float):
     with pytest.raises(ValueError):
-        bessel_j(0, bad_x)
+        bessel_j(2, bad_x)
     for fn in (bessel_j, bessel_y):
         with pytest.raises(ValueError):
             fn(1, np.array([0.5, bad_x, 2.0]))
 
 
-@pytest.mark.parametrize("bad_order", [-1, 4, 10])
+@pytest.mark.parametrize("bad_order", [-1, 0, 3, 4, 10])
 def test_rejects_unsupported_order(bad_order: int):
     with pytest.raises(ValueError):
         bessel_y(bad_order, 1.0)
@@ -155,7 +169,7 @@ def test_rejects_unsupported_order(bad_order: int):
 @pytest.mark.parametrize("fn", [bessel_j, bessel_y])
 def test_array_argument_matches_scalar_calls(fn):
     xs = np.geomspace(1e-3, 100.0, 57)
-    for order in range(4):
+    for order in (1, 2):
         values = fn(order, xs)
         scalars = [fn(order, float(x)) for x in xs]
         assert type(scalars[0]) is float
