@@ -8,14 +8,16 @@ Four verbs write plotting-ready tables:
     lateralvdw validate
 
 Output is CSV with '#'-prefixed metadata lines, or JSON with a "meta"
-object and a "rows" array (--format json).  Every number is rendered
-with repr() so a fixed configuration yields byte-identical files; the
-metadata timestamp is suppressed by --no-timestamp for that purpose.
-The three numeric verbs build their table as one float64 array, which
-is written in one %-formatting pass of a row template with %r cells;
-that is also the JSON encoder's text for a finite float.  A table with
-a non-finite cell is not written: the run stops with one error line
-naming the column and the separation.
+object and a "rows" array (--format json).  Every number is written as
+its repr() text, so a fixed configuration yields byte-identical files;
+the metadata timestamp is suppressed by --no-timestamp for that purpose.
+The three numeric verbs build their table as one float64 array.  Its
+cells get their text from one orjson pass, whose shortest round-trip
+digits are repr's, respelled on the bytes to repr's exponent form; the
+row template is then filled in one %-formatting pass.  That text is
+also the JSON encoder's for a finite float.  A table with a non-finite
+cell is not written: the run stops with one error line naming the
+column and the separation.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
@@ -52,7 +54,7 @@ from .dynamics import (
     steady_state_population,
 )
 from .emission import emission_spectrum
-from .forces import lateral_force_closed_form, resonant_force_on_a, resonant_force_on_b
+from .forces import _resonant_forces, lateral_force_closed_form
 from .system import TwoAtomSystem
 from .validation import _IDENTITY_QUADRATURE, run_identity_checks
 
@@ -284,35 +286,67 @@ def _base_meta(config: RunConfig, verb: str) -> dict:
     return meta
 
 
+def _float_texts(values: np.ndarray) -> list[str]:
+    """repr's text of every cell of a finite 1-d float64 array.
+
+    orjson writes the same shortest round-trip digits as repr in one pass;
+    only the spelling differs, and it is mended on the bytes: repr writes
+    1e+16 and 1e-07 where orjson writes 1e16 and 1e-7, and repr switches
+    to an exponent below 1e-4 where orjson stays positional down to 1e-5
+    (0.000035 against 3.5e-05), so those few cells alone go through repr.
+    """
+    import orjson  # paid by the first table written, not by importing the CLI
+
+    text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
+    exponent = np.flatnonzero(text == ord("e")) + 1
+    negative = text[exponent] == ord("-")
+    first = exponent + negative  # the exponent's first digit
+    after = text[first + 1]
+    single = (after < ord("0")) | (after > ord("9"))
+    # '+' goes before a positive exponent, '0' before a one-digit one; at
+    # one index (1e+07) the '+' is listed first, and np.insert keeps order.
+    counts = (np.count_nonzero(~negative), np.count_nonzero(single))
+    text = np.insert(
+        text,
+        np.concatenate((exponent[~negative], first[single])),
+        np.repeat(np.frombuffer(b"+0", np.uint8), counts),
+    )
+    texts = text.tobytes()[1:-1].decode("ascii").split(",") if len(values) else []
+    magnitude = np.abs(values)
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def _render(
     meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str, cell=_format_value
 ) -> str:
     """Serialise one table.
 
     A numeric table is a float64 array whose cells are all finite (``_run``
-    checks that).  It is written in one ``%`` pass: a row template with
-    ``%r`` cells, repeated once per row, filled from the flattened array.
-    ``%r`` of a finite float is its shortest round-tripping text, which is
-    also what json.dumps writes for it.  Any other table is a list of rows
-    of mixed cells, each formatted by ``cell`` (CSV) or json.dumps (JSON).
+    checks that).  Its flattened cells get repr's text from
+    ``_float_texts``, and a row template with ``%s`` cells, repeated once
+    per row, is filled from them in one ``%`` pass.  repr of a finite float
+    is also what json.dumps writes for it.  Any other table is a list of
+    rows of mixed cells, each formatted by ``cell`` (CSV) or json.dumps
+    (JSON).
     """
     numeric = isinstance(rows, np.ndarray)
-    spec = "%r" if numeric else "%s"
     if fmt == "json":
         # The bytes of json.dumps({"meta": ..., "rows": ...}, indent=2,
         # sort_keys=True), with the rows filled into a row template.
         order = sorted(range(len(columns)), key=columns.__getitem__)
         template = (
             "    {\n"
-            + ",\n".join(f"      {json.dumps(columns[i])}: {spec}" for i in order)
+            + ",\n".join(f"      {json.dumps(columns[i])}: %s" for i in order)
             + "\n    }"
         )
         separator, cell = ",\n", json.dumps
     else:
         order = list(range(len(columns)))
-        template, separator = ",".join([spec] * len(columns)), "\n"
+        template, separator = ",".join(["%s"] * len(columns)), "\n"
     if numeric:
-        cells = tuple(rows[:, order].ravel().tolist())
+        cells = tuple(_float_texts(rows[:, order].ravel()))
     else:
         cells = tuple(cell(row[i]) for row in rows for i in order)
     body = separator.join([template] * len(rows)) % cells
@@ -353,8 +387,7 @@ def _write_atomic(path: str, payload: str) -> None:
 def cmd_force_curve(config: RunConfig) -> tuple[dict, np.ndarray]:
     system = _system_at(config, _sweep(config))
     p1 = _resolve_population(config, 1.0, system)
-    on_a = resonant_force_on_a(system, p1)
-    on_b = resonant_force_on_b(system, p1)
+    on_a, on_b = _resonant_forces(system, p1)
     rows = np.column_stack(
         (
             system.separation,

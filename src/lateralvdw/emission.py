@@ -23,7 +23,14 @@ import numpy as np
 
 from .constants import c, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
-from .greens import _MODE_TABLE, _SYMMETRIC, _azimuth_harmonics, _mode_monomials, _mode_node
+from .greens import (
+    _MODE_TABLE,
+    _SYMMETRIC,
+    _azimuth_harmonics,
+    _check_finite,
+    _mode_monomials,
+    _mode_node,
+)
 from .quadrature import (
     QuadratureConfig,
     _rows_times,
@@ -130,6 +137,7 @@ def recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     x-z plane, flipping the sign of the cos(phi) term only.
     """
     _require_float_separation(system, "recoil_rate")
+    _check_finite("phi", phi)
     _, hand = system.circular_parameters()
     bracket = _recoil_bracket(spectrum_coefficients(system.xi), hand, phi)
     return recoil_rate_prefactor(system) * float(bracket)
@@ -141,6 +149,7 @@ def near_field_recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     Keeps the xi^3, xi^4 and xi^5 orders of the closed form; the
     remainder is O(xi^6) relative to the leading isotropic-in-sin^2 term.
     """
+    _check_finite("phi", phi)
     _, hand = system.circular_parameters()
     xi = system.xi
     sin_phi = math.sin(phi)
@@ -177,6 +186,7 @@ def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
     is singular on the light line k_par = omega/c, which raises ValueError.
     """
     _require_float_separation(system, "rate_density")
+    _check_finite("phi", phi)
     k_perp = transverse_wavenumber(k_par, system.omega_a)
     if k_perp == 0.0:
         raise ValueError("rate density is singular on the light line k_par = omega/c")
@@ -245,6 +255,7 @@ def recoil_rate_quadrature(
 ) -> float:
     """Recoil rate by direct quadrature of hbar k_par times the density."""
     _require_float_separation(system, "recoil_rate_quadrature")
+    _check_finite("phi", phi)
     return float(_k_par_moment(system, _recoil_weight, phi, config))
 
 

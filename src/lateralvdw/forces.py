@@ -137,10 +137,38 @@ def _coupling(omega: float) -> float:
     return 2.0 * mu_0**2 * omega**4
 
 
-def _return_leg(system: TwoAtomSystem) -> np.ndarray:
-    """alpha_B G(r_B, r_A) . d01: (3,), or (N, 3) for N separations."""
-    back = greens_free(system.position_b, system.position_a, system.omega_a)
+def _return_leg(system: TwoAtomSystem, back: np.ndarray | None = None) -> np.ndarray:
+    """alpha_B G(r_B, r_A) . d01: (3,), or (N, 3) for N separations.
+
+    ``back`` is G(r_B, r_A) when the caller already holds it.
+    """
+    if back is None:
+        back = greens_free(system.position_b, system.position_a, system.omega_a)
     return system.alpha_b * (back @ np.conj(system.dipole_a))
+
+
+def _resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
+    """The resonant forces on A and on B from one G(r_A, r_B) and one gradient.
+
+    The free G is even in r_A - r_B and its gradient odd, so G(r_B, r_A) is
+    G(r_A, r_B) and grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit: the
+    unit vector flips sign exactly.  The formulas are those of
+    resonant_force_on_a and resonant_force_on_b.
+    """
+    _population_valid(p1)
+    omega = system.omega_a
+    d10 = system.dipole_a
+    green = greens_free(system.position_a, system.position_b, omega)
+    grad = greens_free_gradient(system.position_a, system.position_b, omega)
+    coupling = _coupling(omega)
+
+    sandwich_a = np.einsum("a,...kab,...b->...k", d10, grad, _return_leg(system, green))
+    fixed = d10 @ np.conj(green)
+    sandwich_b = np.einsum("...a,...kab,b->...k", fixed, -grad, np.conj(d10)) * system.alpha_b
+    return (
+        _force_result(system, p1, coupling * sandwich_a.real),
+        _force_result(system, p1, coupling * sandwich_b.real),
+    )
 
 
 def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
@@ -150,10 +178,7 @@ def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
     evaluated at r = r_A, with the gradient acting on the outbound leg only.
     A system with N separations gives (N, 3) forces and shapes.
     """
-    _population_valid(p1)
-    grad = greens_free_gradient(system.position_a, system.position_b, system.omega_a)
-    sandwich = np.einsum("a,...kab,...b->...k", system.dipole_a, grad, _return_leg(system))
-    return _force_result(system, p1, _coupling(system.omega_a) * sandwich.real)
+    return _resonant_forces(system, p1)[0]
 
 
 def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
@@ -166,16 +191,7 @@ def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
     lateral component and the standing-wave oscillation in z.  A system
     with N separations gives (N, 3) forces and shapes.
     """
-    _population_valid(p1)
-    omega = system.omega_a
-    r_a, r_b = system.position_a, system.position_b
-    d10 = system.dipole_a
-    d01 = np.conj(d10)
-
-    fixed = d10 @ np.conj(greens_free(r_a, r_b, omega))
-    grad = greens_free_gradient(r_b, r_a, omega)
-    sandwich = np.einsum("...a,...kab,b->...k", fixed, grad, d01) * system.alpha_b
-    return _force_result(system, p1, _coupling(omega) * sandwich.real)
+    return _resonant_forces(system, p1)[1]
 
 
 def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):
@@ -276,10 +292,9 @@ def torque_about_com(
     _require_float_separation(system, "torque_about_com")
     if mass_b <= 0.0:
         raise ValueError(f"mass_b must be positive, got {mass_b}")
-    force_a = resonant_force_on_a(system, p1).force
-    force_b = resonant_force_on_b(system, p1).force
+    on_a, on_b = _resonant_forces(system, p1)
     z_com = mass_b / (system.mass_a + mass_b) * system.position_b[2]
     com = np.array([0.0, 0.0, z_com])
-    torque = np.cross(system.position_a - com, force_a)
-    torque += np.cross(system.position_b - com, force_b)
+    torque = np.cross(system.position_a - com, on_a.force)
+    torque += np.cross(system.position_b - com, on_b.force)
     return torque

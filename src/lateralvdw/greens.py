@@ -42,16 +42,25 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_finite(name: str, value: float | np.ndarray) -> None:
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _displacements(r_from, r_to) -> tuple:
     """Flattened rows of r_from - r_to: leading shape, distances and unit vectors.
 
     Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
     """
-    rr = np.subtract(r_from, r_to, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf gives nan, rejected below
+        rr = np.subtract(r_from, r_to, dtype=float)
     lead = rr.shape[:-1]
     rr = rr.reshape(-1, 3)
     # sqrt of the row sums of squares: the bits of np.linalg.norm, without its dispatch.
     dist = np.sqrt(np.add.reduce(rr * rr, axis=-1))
+    # A nan or infinite coordinate leaves a nan or infinite distance.
+    if not np.isfinite(dist).all():
+        raise ValueError("Green's tensor requires finite points")
     if not dist.all():
         raise ValueError("Green's tensor requires two distinct points")
     return lead, dist, rr / dist[:, None]
@@ -221,6 +230,8 @@ def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
     k = (k_par cos phi, k_par sin phi, sign(dz) k_perp), from _MODE_TABLE.
     """
     _check_positive("omega", omega)
+    _check_finite("phi", phi)
+    _check_finite("delta_r", delta_r)
     dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:
         raise ValueError("cylindrical mode tensor requires a nonzero z displacement")
@@ -244,6 +255,7 @@ def greens_free_from_modes(delta_r, omega: float,
     then the k_par axis is integrated separately on the propagating and
     evanescent sides.
     """
+    _check_finite("delta_r", delta_r)
     dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:
         raise ValueError("mode resolution requires a nonzero z displacement")

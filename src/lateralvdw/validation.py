@@ -23,11 +23,7 @@ from .emission import (
     recoil_rate_profile,
     spectrum_coefficients,
 )
-from .forces import (
-    lateral_force_shape,
-    resonant_force_on_a,
-    resonant_force_on_b,
-)
+from .forces import _resonant_forces, lateral_force_shape
 from .greens import greens_free, greens_free_from_modes
 from .quadrature import QuadratureConfig
 from .system import TwoAtomSystem, _require_float_separation
@@ -109,10 +105,9 @@ def _near_field_error(system: TwoAtomSystem) -> float:
 
 def _ground_atom_lateral_error(system: TwoAtomSystem) -> float:
     probe = replace(system, separation=np.geomspace(100e-9, 5e-6, 25))
-    force_b = resonant_force_on_b(probe, 1.0).force
-    force_a = resonant_force_on_a(probe, 1.0).force
-    lateral = np.max(np.abs(force_b[:, :2]), axis=1)
-    return float(np.max(lateral / np.abs(force_a[:, 0])))
+    on_a, on_b = _resonant_forces(probe, 1.0)
+    lateral = np.max(np.abs(on_b.force[:, :2]), axis=1)
+    return float(np.max(lateral / np.abs(on_a.force[:, 0])))
 
 
 def run_identity_checks(

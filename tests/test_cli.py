@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lateralvdw import (
@@ -553,7 +555,12 @@ def test_json_rows_are_the_bytes_of_json_dumps():
         assert cli._render(meta, columns, rows, "json") == expected + "\n"
 
 
-AWKWARD_CELLS = [-0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-4, 9.999e-05, 0.1 + 0.2]
+AWKWARD_CELLS = [
+    -0.0, 5e-324, 1e16, 9.999999999999999e15, 1e-4, 9.999e-05, 0.1 + 0.2,
+    # orjson writes [1e-5, 1e-4) positionally and one-digit exponents unpadded.
+    3.5e-05, -3.5e-05, 1e-05, math.nextafter(1e-05, 0.0), 10.00001,
+    2e-05, 1e-06, 2.5e-07, -7e-08, 1.25e-09, -1e16, 1.5e300,
+]
 
 
 def _parity_tables():
@@ -566,12 +573,14 @@ def _parity_tables():
 
 
 def test_float_array_tables_render_as_json_dumps_and_repr_rows():
-    # The one-pass %r writer against the encoder and against the per-row
-    # join of repr that it replaced, on awkward cells (signed zero, the
-    # smallest subnormal, both sides of repr's switch to exponent notation
-    # at 1e16 and 1e-4, 0.1 + 0.2) and exponents over +-300.  Lines are
-    # compared as lists so that a failure reports the first differing line.
+    # The orjson-based writer against the encoder and against a per-row join
+    # of repr, on awkward cells (signed zero, the smallest subnormal, both
+    # sides of repr's switch to exponent notation at 1e16 and 1e-4, orjson's
+    # positional range down to 1e-5, one-digit exponents, 0.1 + 0.2) and
+    # exponents over +-300.  Lines are compared as lists so that a failure
+    # reports the first differing line.
     names = ["r", "F_x", "v", "xi", "F_z_A", "phi", "R"]
+    names += [f"c{i}" for i in range(len(AWKWARD_CELLS))]
     meta = {"verb": "parity", "points": 3}
     for table in _parity_tables():
         columns = names[: table.shape[1]]
@@ -587,6 +596,43 @@ def test_float_array_tables_render_as_json_dumps_and_repr_rows():
         expected_csv.extend(",".join(map(repr, row)) for row in table.tolist())
         rendered = cli._render(meta, columns, table, "csv")
         assert rendered.split("\n") == expected_csv + [""]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_float_texts_are_repr(xs):
+    assert cli._float_texts(np.array(xs, dtype=float)) == [repr(x) for x in xs]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numeric_tables_repr_only_the_positional_cells(monkeypatch, fmt):
+    # Only the cells in [1e-5, 1e-4), which orjson writes as 0.0000..., go
+    # through repr; every other cell takes orjson's respelled text.
+    table = np.array([[3.5e-05, 1e-20, 0.5], [1e-4, -1.5e-05, 7e-08]])
+    calls = []
+
+    def counted_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+    rendered = cli._render({"verb": "probe"}, ["a", "b", "c"], table, fmt)
+    assert sorted(calls) == [-1.5e-05, 3.5e-05]
+    assert "3.5e-05" in rendered and "-1.5e-05" in rendered and "7e-08" in rendered
+
+
+def test_orjson_loads_with_the_first_table_not_with_the_cli(tmp_path):
+    script = (
+        "import sys\n"
+        "from lateralvdw import cli\n"
+        "print('orjson' in sys.modules)\n"
+        f"cli.main(['velocity', '--points', '3', '--output', {str(tmp_path / 'v.csv')!r}])\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True")
+    assert (tmp_path / "v.csv").exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,6 +1,7 @@
 """Free-space Green's tensor: closed form, gradient, and mode expansion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from lateralvdw import (
     greens_free,
     greens_free_from_modes,
     greens_free_gradient,
+    near_field_recoil_rate,
     rate_density,
+    recoil_rate,
+    recoil_rate_quadrature,
 )
 from lateralvdw.constants import c
 from lateralvdw.greens import _SYMMETRIC, _mode_level_sum, _radial_coefficients
@@ -59,6 +63,15 @@ def test_gradient_flips_sign_when_arguments_swap(rng):
         backward = greens_free_gradient(r2, r1, OMEGA)
         scale = np.max(np.abs(forward))
         assert np.max(np.abs(forward + backward)) <= 1e-12 * scale
+
+
+def test_swapped_points_give_the_same_tensor_and_the_negated_gradient_bitwise(rng):
+    # forces._resonant_forces takes G(r_B, r_A) and grad G(r_B, r_A) from the
+    # (r_A, r_B) evaluation: the unit vector flips sign exactly.
+    r1 = rng.uniform(-2e-6, 2e-6, (500, 3))
+    r2 = rng.uniform(-2e-6, 2e-6, (500, 3))
+    assert np.array_equal(greens_free(r2, r1, OMEGA), greens_free(r1, r2, OMEGA))
+    assert np.array_equal(greens_free_gradient(r2, r1, OMEGA), -greens_free_gradient(r1, r2, OMEGA))
 
 
 def test_reciprocity(rng):
@@ -194,6 +207,31 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_points_and_azimuths_are_rejected(bad: float, peak_system):
+    # Neither a numpy warning nor a nan result: one ValueError at the boundary.
+    delta = np.array([0.0, 0.0, 400e-9])
+    point = np.array([0.0, bad, 400e-9])
+    calls = [
+        lambda: greens_free(np.zeros(3), point, OMEGA),
+        lambda: greens_free(point, point, OMEGA),
+        lambda: greens_free_gradient(point, np.zeros(3), OMEGA),
+        lambda: greens_free_from_modes(point, OMEGA),
+        lambda: greens_cylindrical_mode(point, OMEGA, 1e6, 0.3),
+        lambda: greens_cylindrical_mode(delta, OMEGA, 1e6, bad),
+        lambda: greens_cylindrical_mode(delta, OMEGA, 1e6, np.array([0.3, bad])),
+        lambda: rate_density(peak_system, 1e6, bad),
+        lambda: recoil_rate(peak_system, bad),
+        lambda: near_field_recoil_rate(peak_system, bad),
+        lambda: recoil_rate_quadrature(peak_system, bad),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 @pytest.mark.parametrize("k_ratio", [0.0, 0.4, 0.99, 2.5])
