@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -598,9 +598,48 @@ def test_float_array_tables_render_as_json_dumps_and_repr_rows():
         assert rendered.split("\n") == expected_csv + [""]
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
-def test_float_texts_are_repr(xs):
-    assert cli._float_texts(np.array(xs, dtype=float)) == [repr(x) for x in xs]
+# Every prefix of two or more names is out of sorted order, so the JSON
+# rows reorder their cells.
+PROPERTY_COLUMNS = ["v", "r", "F_x", "xi", "R", "phi", "F_z_A"]
+# Finite floats (subnormals included) mixed with cells of either sign from
+# [1e-5, 1e-4), the range whose text is spliced in from repr.
+_TABLE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        math.copysign, st.floats(1e-5, 1e-4, exclude_max=True), st.sampled_from([1.0, -1.0])
+    ),
+)
+_TABLES = st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(_TABLE_CELLS, min_size=k, max_size=k), min_size=1, max_size=40)
+)
+
+
+@given(_TABLES)
+@example([[3.5e-05], [1e-20], [-1.5e-05]])  # one column: every marker is a row break
+@example([[3.5e-05, 1e16, 5e-324], [0.5, -2e-05, 7e-08], [1e-07, 0.0, 9.999e-05]])
+def test_float_tables_render_as_json_dumps_and_repr_rows(table):
+    columns = PROPERTY_COLUMNS[: len(table[0])]
+    meta = {"verb": "property"}
+    expected_json = json.dumps(
+        {"meta": meta, "rows": [dict(zip(columns, row)) for row in table]},
+        indent=2,
+        sort_keys=True,
+    )
+    assert cli._render(meta, columns, np.array(table), "json") == expected_json + "\n"
+    expected_csv = ["# verb = property", ",".join(columns)]
+    expected_csv.extend(",".join(map(repr, row)) for row in table)
+    assert cli._render(meta, columns, np.array(table), "csv").split("\n") == expected_csv + [""]
+
+
+def test_numeric_tables_have_one_marker_byte_per_column():
+    # Markers run from 0x80 to 0xff: 128 columns fit, a 129th would wrap
+    # into ASCII, so it is refused.
+    table = np.arange(256.0).reshape(2, 128) * 1e-3
+    columns = [f"c{i}" for i in range(128)]
+    rendered = cli._render({"verb": "wide"}, columns, table, "csv")
+    assert rendered.split("\n")[-3:] == [",".join(map(repr, row)) for row in table.tolist()] + [""]
+    with pytest.raises(ValueError, match="at most 128 columns"):
+        cli._render({"verb": "wide"}, columns + ["c128"], np.ones((2, 129)), "csv")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
