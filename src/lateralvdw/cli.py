@@ -57,7 +57,7 @@ from .dynamics import (
     steady_state_population,
 )
 from .emission import emission_spectrum
-from .forces import _resonant_forces, lateral_force_closed_form
+from .forces import lateral_force_closed_form, resonant_forces
 from .system import TwoAtomSystem
 from .validation import _IDENTITY_QUADRATURE, run_identity_checks
 
@@ -223,14 +223,9 @@ def _resolve_population(config: RunConfig, default: float, system: TwoAtomSystem
     if config.rabi is not None or config.detuning is not None:
         if config.rabi is None or config.detuning is None:
             raise ConfigError("rabi and detuning must be given together")
-        try:
-            drive = DrivingParams(
-                rabi=config.rabi, detuning=config.detuning, duration=config.delta_t
-            )
-            gamma_total = float(np.max(assisted_decay_rate(system).gamma_total))
-            return _drive_population(drive, gamma_total)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        drive = DrivingParams(rabi=config.rabi, detuning=config.detuning, duration=config.delta_t)
+        gamma_total = float(np.max(assisted_decay_rate(system).gamma_total))
+        return _drive_population(drive, gamma_total)
     return default
 
 
@@ -348,9 +343,7 @@ def _float_body(table: np.ndarray, separators: typing.Sequence[str]) -> str:
     return body.decode("ascii")
 
 
-def _render(
-    meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str, cell=_format_value
-) -> str:
+def _render(meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str) -> str:
     """Serialise one table.
 
     Each format has one row layout, built once: a head before the first
@@ -362,8 +355,8 @@ def _render(
     with a marker byte (0x80 and up, never in the ASCII float text) in
     place of each comma, replaced by that column's separator.  repr of a
     finite float is also what json.dumps writes for it.  Any other table is
-    a list of rows of mixed cells, each formatted by ``cell`` (CSV) or
-    json.dumps (JSON) into a row template with ``%s`` cells between the
+    a list of rows of mixed cells, each formatted by ``_format_value`` (CSV)
+    or json.dumps (JSON) into a row template with ``%s`` cells between the
     same separators.  The whole text is joined once from the metadata
     prefix, the body and the suffix.
     """
@@ -384,7 +377,7 @@ def _render(
             return prefix + "]\n}\n"
         prefix, suffix = f"{prefix}\n{head}", f"{tail}\n  ]\n}}\n"
     else:
-        order = list(range(len(columns)))
+        order, cell = list(range(len(columns))), _format_value
         separators = [","] * (len(columns) - 1) + ["\n"]
         lines = [f"# {key} = {_format_value(meta[key])}" for key in sorted(meta)]
         lines.append(",".join(columns))
@@ -425,7 +418,7 @@ def _write_atomic(path: str, payload: str) -> None:
 def cmd_force_curve(config: RunConfig) -> tuple[dict, np.ndarray]:
     system = _system_at(config, _sweep(config))
     p1 = _resolve_population(config, 1.0, system)
-    on_a, on_b = _resonant_forces(system, p1)
+    on_a, on_b = resonant_forces(system, p1)
     rows = np.column_stack(
         (
             system.separation,
@@ -627,10 +620,7 @@ def main(argv=None) -> int:
         config = _build_config(args)
         _validate_config(config, args.verb)
         return _run(config, args.verb)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,6 @@ __all__ = [
     "DrivingParams",
     "free_decay_rate",
     "assisted_decay_rate",
-    "population",
     "steady_state_population",
     "accumulated_velocity",
     "lateral_velocity",
@@ -84,13 +83,6 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
         gamma_free=free_decay_rate(system),
         gamma_correction=_coupling(omega) / hbar * sandwich.imag,
     )
-
-
-def population(t: float, rates: DecayRates) -> float:
-    """Excited population e^(-Gamma_total t) of an initially excited atom."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return math.exp(-rates.gamma_total * t)
 
 
 def steady_state_population(

@@ -36,7 +36,6 @@ from .quadrature import (
     _rows_times,
     integrate_evanescent,
     integrate_propagating,
-    transverse_wavenumber,
 )
 from .specfun import bessel_j, bessel_y
 from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
@@ -49,7 +48,6 @@ __all__ = [
     "recoil_rate",
     "recoil_rate_quadrature",
     "recoil_rate_profile",
-    "rate_density",
     "near_field_recoil_rate",
     "asymmetry",
     "assisted_rate_correction_quadrature",
@@ -175,28 +173,16 @@ def asymmetry(system: TwoAtomSystem) -> float:
     return 4.0 * hand * f3 * recoil_rate_prefactor(system)
 
 
-def rate_density(system: TwoAtomSystem, k_par: float, phi: float) -> float:
-    """Scatterer-induced emission rate density gamma(k_par, phi).
-
-    Density per k_par dk_par dphi of the decay-rate correction:
-    (2 mu0^2 / hbar) omega^4 Im[d10 . G_mode(r_A - r_B) alpha_B
-    G(r_B, r_A) . d01], with the outbound leg resolved in the lateral
-    momentum and the return leg in closed form.  Integrated over the full
-    mode measure it reproduces the assisted-decay correction.  The density
-    is singular on the light line k_par = omega/c, which raises ValueError.
-    """
-    _require_float_separation(system, "rate_density")
-    _check_finite("phi", phi)
-    k_perp = transverse_wavenumber(k_par, system.omega_a)
-    if k_perp == 0.0:
-        raise ValueError("rate density is singular on the light line k_par = omega/c")
-    return float(_mode_sandwich_profile(system, phi)(k_par, k_perp))
-
-
 def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
-    """gamma(k_par, phi) at a float azimuth or over an array of P azimuths.
+    """Emission rate density gamma(k_par, phi) at a float azimuth or over P azimuths.
 
-    Returns a callable (k_par, k_perp) -> rate densities, with the
+    gamma is the density per k_par dk_par dphi of the scatterer-induced
+    decay-rate correction, (2 mu0^2 / hbar) omega^4 Im[d10 . G_mode(r_A - r_B)
+    alpha_B G(r_B, r_A) . d01], with the outbound leg resolved in the
+    lateral momentum and the return leg in closed form; over the full mode
+    measure it integrates to the assisted-decay correction.  It is singular
+    on the light line k_perp = 0, which the quadrature substitutions never
+    sample.  Returns a callable (k_par, k_perp) -> rate densities, with the
     closed-form return leg hoisted out of the quadrature loop.  (K,) arrays
     of k_par and k_perp give (K,) densities for a float phi and (K, P) for
     an array; floats drop the K axis.  greens._MODE_TABLE contracts with the

@@ -31,8 +31,7 @@ __all__ = [
     "ForceResult",
     "lateral_force_shape",
     "lateral_force_closed_form",
-    "resonant_force_on_a",
-    "resonant_force_on_b",
+    "resonant_forces",
     "nonresonant_force",
     "torque_about_com",
 ]
@@ -147,13 +146,23 @@ def _return_leg(system: TwoAtomSystem, back: np.ndarray | None = None) -> np.nda
     return system.alpha_b * (back @ np.conj(system.dipole_a))
 
 
-def _resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
-    """The resonant forces on A and on B from one G(r_A, r_B) and one gradient.
+def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
+    """Resonant forces on the excited atom A and on the ground-state scatterer B.
 
-    The free G is even in r_A - r_B and its gradient odd, so G(r_B, r_A) is
-    G(r_A, r_B) and grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit: the
-    unit vector flips sign exactly.  The formulas are those of
-    resonant_force_on_a and resonant_force_on_b.
+    On A, from the field scattered by B, with the gradient acting on the
+    outbound leg only:
+    F_A = 2 mu0^2 p1 omega^4 Re grad [d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01]
+    at r = r_A.  On B, the fixed outbound propagator is conjugated and the
+    gradient acts on the leg that returns to A:
+    F_B = 2 mu0^2 p1 omega^4 Re grad [d10 . G*(r_A, r_B) alpha_B G(r, r_A) . d01]
+    at r = r_B.  The phase factors of F_B cancel pairwise, which removes
+    both its lateral component and the standing-wave oscillation in z.
+
+    Both come from one G(r_A, r_B) and one gradient: the free G is even in
+    r_A - r_B and its gradient odd, so G(r_B, r_A) is G(r_A, r_B) and
+    grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit, since the unit
+    vector flips sign exactly.  A system with N separations gives (N, 3)
+    forces and shapes.
     """
     _population_valid(p1)
     omega = system.omega_a
@@ -169,29 +178,6 @@ def _resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, For
         _force_result(system, p1, coupling * sandwich_a.real),
         _force_result(system, p1, coupling * sandwich_b.real),
     )
-
-
-def resonant_force_on_a(system: TwoAtomSystem, p1: float) -> ForceResult:
-    """Resonant force on the excited atom from the field scattered by B.
-
-    F = 2 mu0^2 p1 omega^4 Re grad [d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01]
-    evaluated at r = r_A, with the gradient acting on the outbound leg only.
-    A system with N separations gives (N, 3) forces and shapes.
-    """
-    return _resonant_forces(system, p1)[0]
-
-
-def resonant_force_on_b(system: TwoAtomSystem, p1: float) -> ForceResult:
-    """Resonant force on the ground-state scatterer.
-
-    Same structure as the force on A but with the fixed outbound propagator
-    conjugated and the gradient acting on the leg that returns to A:
-    F = 2 mu0^2 p1 omega^4 Re grad [d10 . G*(r_A, r_B) alpha_B G(r, r_A) . d01]
-    at r = r_B.  The phase factors cancel pairwise, which removes both the
-    lateral component and the standing-wave oscillation in z.  A system
-    with N separations gives (N, 3) forces and shapes.
-    """
-    return _resonant_forces(system, p1)[1]
 
 
 def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):
@@ -292,7 +278,7 @@ def torque_about_com(
     _require_float_separation(system, "torque_about_com")
     if mass_b <= 0.0:
         raise ValueError(f"mass_b must be positive, got {mass_b}")
-    on_a, on_b = _resonant_forces(system, p1)
+    on_a, on_b = resonant_forces(system, p1)
     z_com = mass_b / (system.mass_a + mass_b) * system.position_b[2]
     com = np.array([0.0, 0.0, z_com])
     torque = np.cross(system.position_a - com, on_a.force)

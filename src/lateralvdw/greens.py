@@ -20,13 +20,11 @@ from .quadrature import (
     integrate_angle,
     integrate_evanescent,
     integrate_propagating,
-    transverse_wavenumber,
 )
 
 __all__ = [
     "greens_free",
     "greens_free_gradient",
-    "greens_cylindrical_mode",
     "greens_free_from_modes",
 ]
 
@@ -160,7 +158,8 @@ def _azimuth_harmonics(phi: float | np.ndarray) -> np.ndarray:
 
 # The one home of the mode tensor I - (c/omega)^2 k k: its entries xx, xy,
 # xz, yy, yz, zz are the _mode_monomials (m) and the _azimuth_harmonics (h)
-# contracted with the 0/1 table _MODE_TABLE[m, h, entry].
+# contracted with the 0/1 table _MODE_TABLE[m, h, entry].  Two consumers
+# contract it: _mode_level_sum below and emission._mode_sandwich_profile.
 _MODE_TABLE = np.zeros((4, 6, 6))
 _MODE_TABLE[tuple(np.transpose([
     (0, 0, 0), (0, 0, 3), (0, 0, 5),  # 1: the identity
@@ -215,35 +214,6 @@ def _mode_level_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.nda
         return (monomials[:, :, None] * moments[:, None, :]).reshape(-1, 24) @ table
 
     return level_sum
-
-
-def greens_cylindrical_mode(delta_r, omega: float, k_par: float,
-                            phi: float | np.ndarray) -> np.ndarray:
-    """Tensor density of the lateral-momentum resolution of greens_free.
-
-    Integrating the result against k_par dk_par dphi over [0, inf) x
-    [0, 2 pi) reproduces the closed-form tensor for the same displacement.
-    ``delta_r`` is r_from - r_to and must have a nonzero z component, since
-    the plane-wave factorisation exp(i k_perp |dz|) assumes the observation
-    plane does not contain the source.  A float phi gives a (3, 3) tensor;
-    an array of P azimuths gives the (P, 3, 3) stack of w (I - (c/omega)^2 k k),
-    k = (k_par cos phi, k_par sin phi, sign(dz) k_perp), from _MODE_TABLE.
-    """
-    _check_positive("omega", omega)
-    _check_finite("phi", phi)
-    _check_finite("delta_r", delta_r)
-    dx, dy, dz = np.asarray(delta_r, dtype=float)
-    if dz == 0.0:
-        raise ValueError("cylindrical mode tensor requires a nonzero z displacement")
-    k_perp = transverse_wavenumber(k_par, omega)
-    if k_perp == 0.0:
-        raise ValueError("mode tensor is singular on the light line k_par = omega/c")
-    monomials = _mode_monomials(k_par, math.copysign(1.0, dz) * k_perp, omega)
-    harmonics = _azimuth_harmonics(phi)
-    # w: the node factor times the lateral phase e^{i k_par (dx cos phi + dy sin phi)}.
-    weight = _mode_node(dz, k_perp) * np.exp(1j * k_par * (dx * harmonics[1] + dy * harmonics[2]))
-    entries = weight * (np.tensordot(monomials, _MODE_TABLE, 1).T @ harmonics)
-    return np.moveaxis(entries[_SYMMETRIC], 0, -1).reshape(np.shape(phi) + (3, 3))
 
 
 def greens_free_from_modes(delta_r, omega: float,

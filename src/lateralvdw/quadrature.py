@@ -43,7 +43,6 @@ from .constants import c
 __all__ = [
     "QuadratureConfig",
     "QuadratureConvergenceError",
-    "transverse_wavenumber",
     "integrate_propagating",
     "integrate_evanescent",
     "integrate_angle",
@@ -85,16 +84,6 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message: str, error_estimate: float):
         super().__init__(f"{message} (achieved error estimate {error_estimate:.3e})")
         self.error_estimate = error_estimate
-
-
-def transverse_wavenumber(k_par: float, omega: float) -> complex:
-    """k_perp = sqrt(omega^2/c^2 - k_par^2) on the branch Im k_perp >= 0."""
-    if not 0.0 <= k_par < math.inf:
-        raise ValueError(f"k_par must be finite and nonnegative, got {k_par}")
-    k = omega / c
-    if k_par <= k:
-        return complex(math.sqrt(k * k - k_par * k_par), 0.0)
-    return complex(0.0, math.sqrt(k_par * k_par - k * k))
 
 
 # QUADPACK qk21: Kronrod abscissae on [0, 1] (the last is the centre) with
@@ -249,8 +238,8 @@ def integrate_propagating(f, omega: float, config: QuadratureConfig | None = Non
     together with a shared error control).
     """
     cfg = config or _DEFAULT
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     k = omega / c
 
     def g(theta):
@@ -271,10 +260,10 @@ def integrate_evanescent(f, omega: float, distance: float,
     arrays and returns the same shapes as in integrate_propagating.
     """
     cfg = config or _DEFAULT
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if not 0.0 < distance < math.inf:
+        raise ValueError(f"distance must be finite and positive, got {distance}")
     k = omega / c
     u_max = math.asinh(cfg.tail_cutoff_decades / (k * distance))
 

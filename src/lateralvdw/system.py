@@ -101,8 +101,8 @@ class TwoAtomSystem:
         self.dipole_a = np.asarray(self.dipole_a, dtype=complex)
         if self.dipole_a.shape != (3,):
             raise ValueError("dipole_a must be a 3-vector")
-        if not self.omega_a > 0.0:
-            raise ValueError(f"omega_a must be positive, got {self.omega_a}")
+        if not 0.0 < self.omega_a < math.inf:
+            raise ValueError(f"omega_a must be finite and positive, got {self.omega_a}")
         separation = np.asarray(self.separation, dtype=float)
         if separation.ndim > 1:
             raise ValueError("separation must be a float or a 1-D array")
@@ -115,8 +115,8 @@ class TwoAtomSystem:
             self.separation = separation
         if not self.alpha_b > 0.0:
             raise ValueError(f"alpha_b must be positive, got {self.alpha_b}")
-        if not self.mass_a > 0.0:
-            raise ValueError(f"mass_a must be positive, got {self.mass_a}")
+        if not 0.0 < self.mass_a < math.inf:
+            raise ValueError(f"mass_a must be finite and positive, got {self.mass_a}")
         # Every closed form carries this scale; past the float range it
         # would turn into inf/nan forces and rows instead of an error.
         with np.errstate(all="ignore"):

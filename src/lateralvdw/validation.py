@@ -23,7 +23,7 @@ from .emission import (
     recoil_rate_profile,
     spectrum_coefficients,
 )
-from .forces import _resonant_forces, lateral_force_shape
+from .forces import lateral_force_shape, resonant_forces
 from .greens import greens_free, greens_free_from_modes
 from .quadrature import QuadratureConfig
 from .system import TwoAtomSystem, _require_float_separation
@@ -72,7 +72,7 @@ def _recoil_identity_error(system: TwoAtomSystem, cfg: QuadratureConfig, f3_scal
     force_from_emission = -moment
     # Force route, written through the shared coefficient so a perturbation
     # of f3 breaks the comparison.
-    d, hand = system.circular_parameters()
+    _, hand = system.circular_parameters()
     _, _, f3 = spectrum_coefficients(system.xi)
     pref = recoil_rate_prefactor(system)
     force_closed = -math.pi * pref * hand * f3 * f3_scale
@@ -105,7 +105,7 @@ def _near_field_error(system: TwoAtomSystem) -> float:
 
 def _ground_atom_lateral_error(system: TwoAtomSystem) -> float:
     probe = replace(system, separation=np.geomspace(100e-9, 5e-6, 25))
-    on_a, on_b = _resonant_forces(probe, 1.0)
+    on_a, on_b = resonant_forces(probe, 1.0)
     lateral = np.max(np.abs(on_b.force[:, :2]), axis=1)
     return float(np.max(lateral / np.abs(on_a.force[:, 0])))
 

@@ -40,3 +40,9 @@ def mode_tensor_reference():
         return weight * (np.eye(3) - (c / omega) ** 2 * np.outer(k, k))
 
     return tensor
+
+
+@pytest.fixture
+def k_perp_of():
+    """k_perp = sqrt((omega/c)^2 - k_par^2) on the branch Im k_perp >= 0."""
+    return lambda k_par, omega: np.sqrt(complex((omega / c) ** 2 - k_par**2))

@@ -18,8 +18,7 @@ from lateralvdw import (
     TwoAtomSystem,
     lateral_force_closed_form,
     lateral_force_shape,
-    resonant_force_on_a,
-    resonant_force_on_b,
+    resonant_forces,
 )
 from lateralvdw.dynamics import DrivingParams, lateral_velocity, steady_state_population
 from lateralvdw.emission import (
@@ -96,9 +95,8 @@ def test_ac03_ground_atom_lateral_force():
     worst = 0.0
     for r in np.geomspace(100e-9, 5e-6, 41):
         system = TwoAtomSystem.cs_rb(r)
-        f_a = resonant_force_on_a(system, 1.0).force
-        f_b = resonant_force_on_b(system, 1.0).force
-        worst = max(worst, abs(f_b[0]) / abs(f_a[0]))
+        on_a, on_b = resonant_forces(system, 1.0)
+        worst = max(worst, abs(on_b.force[0]) / abs(on_a.force[0]))
     _report(
         worst <= 1e-12,
         f"ground-atom lateral force vanishes: worst |F_B,x|/|F_A,x| {worst:.2e} "
@@ -242,7 +240,7 @@ def test_ac10_property_suites():
     f_x = np.empty(len(rs))
     f_z = np.empty(len(rs))
     for i, r in enumerate(rs):
-        f = resonant_force_on_a(TwoAtomSystem.cs_rb(r), 1.0).force
+        f = resonant_forces(TwoAtomSystem.cs_rb(r), 1.0)[0].force
         f_x[i], f_z[i] = f[0], f[2]
     changes_x = int(np.count_nonzero(np.sign(f_x[1:]) != np.sign(f_x[:-1])))
     changes_z = int(np.count_nonzero(np.sign(f_z[1:]) != np.sign(f_z[:-1])))
@@ -307,16 +305,32 @@ def test_ac10_property_suites():
     )
 
 
+_LAYERS = (
+    lateralvdw.dynamics, lateralvdw.emission, lateralvdw.forces, lateralvdw.greens,
+    lateralvdw.quadrature, lateralvdw.specfun, lateralvdw.system, lateralvdw.validation,
+)
+_CONSTANTS = (
+    "CESIUM_DIPOLE", "CESIUM_MASS", "CESIUM_WAVELENGTH", "RUBIDIUM_MASS",
+    "RUBIDIUM_POLARIZABILITY", "RUBIDIUM_POLARIZABILITY_VOLUME", "angular_frequency",
+)
+
+
 def test_public_surface_matches_the_layer_modules():
-    # Every layer's public name is exported by the package, and every
-    # exported name resolves; constants keeps its own namespace.
-    layers = (
-        lateralvdw.dynamics, lateralvdw.emission, lateralvdw.forces, lateralvdw.greens,
-        lateralvdw.quadrature, lateralvdw.specfun, lateralvdw.system, lateralvdw.validation,
-    )
-    missing = sorted(
-        f"{layer.__name__}.{name}" for layer in layers for name in layer.__all__
-        if name not in lateralvdw.__all__
-    )
+    # The package exports exactly every layer's public names and seven names
+    # of constants, each once, and every exported name resolves; the
+    # physical constants keep their own namespace.  resonant_forces gives
+    # the forces on both atoms in one call, and the one-mode scalar route
+    # and the unused exponential decay are gone.
+    expected = [name for layer in _LAYERS for name in layer.__all__] + list(_CONSTANTS)
+    assert sorted(lateralvdw.__all__) == sorted(expected)
+    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 46
+    assert all(name in lateralvdw.constants.__all__ for name in _CONSTANTS)
     unresolved = sorted(name for name in lateralvdw.__all__ if not hasattr(lateralvdw, name))
-    assert not missing and not unresolved, (missing, unresolved)
+    assert not unresolved, unresolved
+    assert "resonant_forces" in lateralvdw.__all__
+    removed = (
+        "resonant_force_on_a", "resonant_force_on_b", "greens_cylindrical_mode",
+        "rate_density", "transverse_wavenumber", "population",
+    )
+    for name in removed:
+        assert not any(hasattr(module, name) for module in (lateralvdw, *_LAYERS)), name

@@ -20,8 +20,7 @@ from lateralvdw import (
     TwoAtomSystem,
     lateral_force_closed_form,
     lateral_force_shape,
-    resonant_force_on_a,
-    resonant_force_on_b,
+    resonant_forces,
 )
 from lateralvdw import cli
 from lateralvdw.cli import main
@@ -73,19 +72,16 @@ def test_force_curve_single_row_equals_library(tmp_path, monkeypatch):
     _, header, body = read_table(tmp_path / "force_curve.csv")
     assert len(body) == 1
     system = TwoAtomSystem.cs_rb(4e-7)
+    on_a, on_b = resonant_forces(system, 1.0)
     assert column(header, body, "r")[0] == 4e-7
     assert column(header, body, "xi")[0] == pytest.approx(system.xi, rel=1e-15)
     assert column(header, body, "F_x")[0] == pytest.approx(
         lateral_force_closed_form(system, 1.0), rel=1e-15
     )
-    assert column(header, body, "F_z_A")[0] == pytest.approx(
-        resonant_force_on_a(system, 1.0).force[2], rel=1e-15
-    )
-    assert column(header, body, "F_z_B")[0] == pytest.approx(
-        resonant_force_on_b(system, 1.0).force[2], rel=1e-15
-    )
+    assert column(header, body, "F_z_A")[0] == pytest.approx(on_a.force[2], rel=1e-15)
+    assert column(header, body, "F_z_B")[0] == pytest.approx(on_b.force[2], rel=1e-15)
     assert column(header, body, "F_x_shape")[0] == pytest.approx(
-        resonant_force_on_a(system, 1.0).shape_factor[0], rel=1e-15
+        on_a.shape_factor[0], rel=1e-15
     )
 
 
@@ -99,8 +95,7 @@ def test_force_curve_rows_match_per_point_library_calls(tmp_path, monkeypatch):
     for row in body:
         r, xi, f_x, f_z_a, f_z_b, shape = (float(text) for text in row)
         system = TwoAtomSystem.cs_rb(r, handedness="left")
-        on_a = resonant_force_on_a(system, 0.3)
-        on_b = resonant_force_on_b(system, 0.3)
+        on_a, on_b = resonant_forces(system, 0.3)
         assert xi == system.xi
         assert f_x == pytest.approx(lateral_force_closed_form(system, 0.3), rel=1e-15)
         assert f_z_a == pytest.approx(on_a.force[2], rel=1e-13)
@@ -526,7 +521,7 @@ def test_renderer_matches_frozen_bytes():
     ]
     columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
     meta = {"verb": "validate", "all_passed": False}
-    rendered = cli._render(meta, columns, checks, "csv", cell=cli._format_value)
+    rendered = cli._render(meta, columns, checks, "csv")
     assert rendered == GOLDEN_VALIDATE_CSV
 
 

@@ -15,7 +15,6 @@ from lateralvdw import (
     free_decay_rate,
     impulse_velocity_single_shot,
     lateral_velocity,
-    population,
     steady_state_population,
 )
 from lateralvdw.constants import c, hbar, mu_0
@@ -91,19 +90,6 @@ def test_assisted_correction_oscillates_with_separation():
 def test_total_rate_stays_positive():
     for r in np.geomspace(50e-9, 10e-6, 30):
         assert assisted_decay_rate(TwoAtomSystem.cs_rb(r)).gamma_total > 0.0
-
-
-def test_population_decay_curve():
-    rates = assisted_decay_rate(TwoAtomSystem.cs_rb(632e-9))
-    assert population(0.0, rates) == 1.0
-    half_life = math.log(2.0) / rates.gamma_total
-    assert population(half_life, rates) == pytest.approx(0.5, rel=1e-12)
-    assert population(40.0 / rates.gamma_total, rates) < 1e-15
-    times = np.linspace(0.0, 5.0 / rates.gamma_total, 50)
-    values = [population(t, rates) for t in times]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        population(-1e-9, rates)
 
 
 def test_steady_state_population_quadratic_in_ratio():

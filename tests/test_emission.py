@@ -17,7 +17,6 @@ from lateralvdw import (
     integrate_evanescent,
     integrate_propagating,
     near_field_recoil_rate,
-    rate_density,
     recoil_rate,
     recoil_rate_prefactor,
     recoil_rate_profile,
@@ -28,7 +27,6 @@ from lateralvdw.constants import c, hbar
 from lateralvdw.dynamics import assisted_decay_rate
 from lateralvdw.emission import _mode_sandwich_profile
 from lateralvdw.forces import _coupling, _return_leg
-from lateralvdw.quadrature import transverse_wavenumber
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
 COEFF_REFERENCE = {
@@ -201,16 +199,16 @@ def test_asymmetry_flips_with_handedness():
 
 
 def test_density_integral_reproduces_assisted_correction():
-    # Independent scalar route through the public density: polar measure
-    # k_par dk_par dphi with a 32-point periodic trapezoid in phi.
+    # One k_par quadrature per azimuth through the density at a float phi:
+    # polar measure k_par dk_par dphi with a 32-point periodic trapezoid in phi.
     system = system_at_xi(1.0)
     closed = assisted_decay_rate(system).gamma_correction
     n_phi = 32
     cfg = QuadratureConfig(rel_tol=1e-10)
     total = 0.0
     for j in range(n_phi):
-        phi = 2.0 * math.pi * j / n_phi
-        f = lambda kp, kz: kp * np.array([rate_density(system, k, phi) for k in kp])
+        density = _mode_sandwich_profile(system, 2.0 * math.pi * j / n_phi)
+        f = lambda kp, kz: kp * density(kp, kz)
         radial = integrate_propagating(f, system.omega_a, cfg)
         radial += integrate_evanescent(f, system.omega_a, system.separation, cfg)
         total += radial.real
@@ -225,7 +223,7 @@ def test_assisted_correction_quadrature_matches_closed_form():
     assert quadrature == pytest.approx(closed, rel=1e-8)
 
 
-def test_density_linear_in_polarizability():
+def test_density_linear_in_polarizability(k_perp_of):
     base = system_at_xi(1.0)
     halved = TwoAtomSystem(
         omega_a=base.omega_a,
@@ -234,8 +232,10 @@ def test_density_linear_in_polarizability():
         separation=base.separation,
     )
     for k_par, phi in ((0.3 * base.omega_a / 3e8, 0.0), (2e6, 1.1)):
-        full = rate_density(base, k_par, phi)
-        assert rate_density(halved, k_par, phi) == pytest.approx(0.5 * full, rel=1e-12)
+        k_perp = k_perp_of(k_par, base.omega_a)
+        full = _mode_sandwich_profile(base, phi)(k_par, k_perp)
+        half = _mode_sandwich_profile(halved, phi)(k_par, k_perp)
+        assert half == pytest.approx(0.5 * full, rel=1e-12)
 
 
 @pytest.mark.parametrize("phis", [1.1, 2.0 * math.pi * np.arange(7) / 7], ids=["float", "array"])
@@ -243,15 +243,17 @@ def test_density_linear_in_polarizability():
     "k_ratio", [0.3, 2.5, np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0])],
     ids=["propagating", "evanescent", "both"],
 )
-def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio, mode_tensor_reference):
+def test_mode_sandwich_matches_tensor_contraction(
+    phis, k_ratio, mode_tensor_reference, k_perp_of
+):
     # The table-built sandwich against d10 . T . back on the dyad reference.
     system = system_at_xi(1.3, "left")
     omega = system.omega_a
     k_par = k_ratio * omega / c
     if np.ndim(k_par):
-        k_perp = np.array([transverse_wavenumber(k, omega) for k in k_par])
+        k_perp = np.array([k_perp_of(k, omega) for k in k_par])
     else:
-        k_perp = transverse_wavenumber(k_par, omega)
+        k_perp = k_perp_of(k_par, omega)
     delta = system.position_a - system.position_b
     back = _return_leg(system)
     contracted = np.array([
@@ -263,12 +265,6 @@ def test_mode_sandwich_matches_tensor_contraction(phis, k_ratio, mode_tensor_ref
     got = _mode_sandwich_profile(system, phis)(k_par, k_perp)
     assert np.shape(got) == np.shape(expected) == np.shape(k_par) + np.shape(phis)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-
-def test_density_rejects_the_light_line(peak_system):
-    # k_perp = 0 there; the density is singular, like the mode tensor.
-    with pytest.raises(ValueError, match="light line"):
-        rate_density(peak_system, peak_system.omega_a / c, 0.3)
 
 
 def test_near_field_expansion_accuracy():

@@ -16,12 +16,10 @@ from lateralvdw import (
     lateral_force_closed_form,
     lateral_force_shape,
     nonresonant_force,
-    rate_density,
     recoil_rate,
     recoil_rate_profile,
     recoil_rate_quadrature,
-    resonant_force_on_a,
-    resonant_force_on_b,
+    resonant_forces,
     run_identity_checks,
     torque_about_com,
 )
@@ -49,7 +47,7 @@ def system_at_xi(xi: float, handedness: str = "right") -> TwoAtomSystem:
 def test_gradient_route_reproduces_closed_form(xi: float):
     system = system_at_xi(xi)
     closed = lateral_force_closed_form(system, 1.0)
-    gradient_route = resonant_force_on_a(system, 1.0).force[0]
+    gradient_route = resonant_forces(system, 1.0)[0].force[0]
     assert gradient_route == pytest.approx(closed, rel=1e-10)
 
 
@@ -69,7 +67,7 @@ def test_closed_form_matches_gradient_route_over_xi(log_xi: float, handedness: s
     xi = 10.0**log_xi
     system = system_at_xi(xi, handedness)
     closed = lateral_force_closed_form(system, 1.0)
-    gradient_route = resonant_force_on_a(system, 1.0).force[0]
+    gradient_route = resonant_forces(system, 1.0)[0].force[0]
     error = abs(closed - gradient_route) / (_closed_form_scale(system) * _lateral_norm(xi))
     assert error <= 1e-9 + 500.0 * np.finfo(float).eps / xi**4
 
@@ -78,7 +76,7 @@ def test_no_out_of_plane_force():
     # The x-z circular dipole never pushes along y.
     for xi in (0.4, 1.3, 5.0):
         system = system_at_xi(xi)
-        force = resonant_force_on_a(system, 1.0).force
+        force = resonant_forces(system, 1.0)[0].force
         assert abs(force[1]) <= 1e-15 * np.max(np.abs(force))
 
 
@@ -90,21 +88,21 @@ def test_linear_dipole_has_no_lateral_force():
         alpha_b=base.alpha_b,
         separation=base.separation,
     )
-    force = resonant_force_on_a(linear, 1.0).force
+    force = resonant_forces(linear, 1.0)[0].force
     assert abs(force[0]) <= 1e-15 * abs(force[2])
     assert abs(force[1]) <= 1e-15 * abs(force[2])
     assert force[2] != 0.0
 
 
 def test_handedness_flip_negates_lateral_force_only():
-    right = resonant_force_on_a(system_at_xi(1.7, "right"), 1.0).force
-    left = resonant_force_on_a(system_at_xi(1.7, "left"), 1.0).force
+    right = resonant_forces(system_at_xi(1.7, "right"), 1.0)[0].force
+    left = resonant_forces(system_at_xi(1.7, "left"), 1.0)[0].force
     assert left[0] == pytest.approx(-right[0], rel=1e-12)
     assert left[2] == pytest.approx(right[2], rel=1e-12)
 
 
 def test_force_result_reassembles_exactly():
-    result = resonant_force_on_a(system_at_xi(2.3), 0.37)
+    result = resonant_forces(system_at_xi(2.3), 0.37)[0]
     rebuilt = result.population * result.prefactor * result.shape_factor
     assert np.allclose(rebuilt, result.force, rtol=1e-14, atol=0.0)
 
@@ -112,8 +110,7 @@ def test_force_result_reassembles_exactly():
 def test_ground_atom_force_is_purely_longitudinal():
     for r in np.geomspace(100e-9, 5e-6, 7):
         system = TwoAtomSystem.cs_rb(r)
-        force_b = resonant_force_on_b(system, 1.0).force
-        force_a = resonant_force_on_a(system, 1.0).force
+        force_a, force_b = (result.force for result in resonant_forces(system, 1.0))
         assert abs(force_b[0]) <= 1e-12 * abs(force_a[0])
         assert abs(force_b[1]) <= 1e-12 * abs(force_a[0])
 
@@ -123,7 +120,7 @@ def test_ground_atom_longitudinal_force_smooth_and_positive():
     # force toward A decays monotonically across the Drexhage window.
     wavelength = CESIUM_WAVELENGTH
     radii = np.linspace(0.3 * wavelength, 2.0 * wavelength, 120)
-    values = [resonant_force_on_b(TwoAtomSystem.cs_rb(r), 1.0).force[2] for r in radii]
+    values = [resonant_forces(TwoAtomSystem.cs_rb(r), 1.0)[1].force[2] for r in radii]
     values = np.array(values)
     assert np.all(values > 0.0)
     assert np.all(np.diff(values) < 0.0)
@@ -134,8 +131,7 @@ def test_pair_forces_do_not_balance():
     # pair force is not action-reaction balanced: the lateral push on A has
     # no counterpart on B at all, and the longitudinal parts differ too.
     system = system_at_xi(1.0)
-    force_a = resonant_force_on_a(system, 1.0).force
-    force_b = resonant_force_on_b(system, 1.0).force
+    force_a, force_b = (result.force for result in resonant_forces(system, 1.0))
     scale = np.linalg.norm(force_a)
     assert abs(force_a[0] + force_b[0]) == pytest.approx(abs(force_a[0]))
     assert abs(force_a[0]) > 1e-3 * scale
@@ -148,7 +144,7 @@ def test_excited_force_oscillates_across_drexhage_window():
     f_z = []
     f_x = []
     for r in radii:
-        force = resonant_force_on_a(TwoAtomSystem.cs_rb(r), 1.0).force
+        force = resonant_forces(TwoAtomSystem.cs_rb(r), 1.0)[0].force
         f_x.append(force[0])
         f_z.append(force[2])
     changes_z = int(np.sum(np.diff(np.sign(f_z)) != 0))
@@ -180,7 +176,7 @@ def test_population_bounds_enforced():
     with pytest.raises(ValueError):
         lateral_force_closed_form(system, -0.1)
     with pytest.raises(ValueError):
-        resonant_force_on_a(system, 1.1)
+        resonant_forces(system, 1.1)
 
 
 def test_shape_small_argument_expansion():
@@ -257,16 +253,14 @@ def test_array_system_forces_match_per_separation_calls():
     for handedness in ("right", "left"):
         stacked = TwoAtomSystem.cs_rb(separations, handedness=handedness)
         lateral = lateral_force_closed_form(stacked, 0.4)
-        on_a = resonant_force_on_a(stacked, 0.4)
-        on_b = resonant_force_on_b(stacked, 0.4)
+        on_a, on_b = resonant_forces(stacked, 0.4)
         assert on_a.force.shape == on_b.shape_factor.shape == (41, 3)
         for i, r in enumerate(separations):
             single = TwoAtomSystem.cs_rb(float(r), handedness=handedness)
             assert lateral[i] == pytest.approx(
                 lateral_force_closed_form(single, 0.4), rel=1e-15
             )
-            for stack, route in ((on_a, resonant_force_on_a), (on_b, resonant_force_on_b)):
-                point = route(single, 0.4)
+            for stack, point in zip((on_a, on_b), resonant_forces(single, 0.4)):
                 scale = np.max(np.abs(point.force))
                 assert np.max(np.abs(stack.force[i] - point.force)) <= 1e-13 * scale
                 assert stack.prefactor[i] == pytest.approx(point.prefactor, rel=1e-15)
@@ -419,7 +413,6 @@ _ARRAY_SYSTEM = TwoAtomSystem.cs_rb(np.array([2e-7, 3e-7]))
         ("recoil_rate_profile", lambda s: recoil_rate_profile(s, 16)),
         ("assisted_rate_correction_quadrature", assisted_rate_correction_quadrature),
         ("recoil_rate_quadrature", lambda s: recoil_rate_quadrature(s, 0.3)),
-        ("rate_density", lambda s: rate_density(s, 1e6, 0.3)),
         ("torque_about_com", lambda s: torque_about_com(s, 1.0)),
         ("run_identity_checks", run_identity_checks),
         ("impulse_velocity_single_shot",
@@ -458,7 +451,7 @@ def test_torque_direction_and_magnitude():
     system = TwoAtomSystem.cs_rb(632e-9)
     p1 = 0.01
     torque = torque_about_com(system, p1)
-    force_a = resonant_force_on_a(system, p1).force
+    force_a = resonant_forces(system, p1)[0].force
     lever = RUBIDIUM_MASS / (system.mass_a + RUBIDIUM_MASS) * system.separation
     assert torque[0] == pytest.approx(0.0, abs=1e-18 * abs(torque[1]) + 1e-60)
     assert torque[2] == pytest.approx(0.0, abs=1e-18 * abs(torque[1]) + 1e-60)
@@ -481,5 +474,5 @@ def test_torque_vanishes_for_linear_dipole():
         separation=base.separation,
     )
     torque = torque_about_com(linear, 0.5)
-    force_scale = np.max(np.abs(resonant_force_on_a(linear, 0.5).force))
+    force_scale = np.max(np.abs(resonant_forces(linear, 0.5)[0].force))
     assert np.max(np.abs(torque)) <= 1e-15 * force_scale * base.separation

@@ -8,18 +8,18 @@ import pytest
 
 from lateralvdw import (
     QuadratureConfig,
-    greens_cylindrical_mode,
+    TwoAtomSystem,
     greens_free,
     greens_free_from_modes,
     greens_free_gradient,
+    integrate_evanescent,
+    integrate_propagating,
     near_field_recoil_rate,
-    rate_density,
     recoil_rate,
     recoil_rate_quadrature,
 )
 from lateralvdw.constants import c
 from lateralvdw.greens import _SYMMETRIC, _mode_level_sum, _radial_coefficients
-from lateralvdw.quadrature import transverse_wavenumber
 
 OMEGA = 2.0 * math.pi * c / 852e-9
 WAVELENGTH = 852e-9
@@ -66,7 +66,7 @@ def test_gradient_flips_sign_when_arguments_swap(rng):
 
 
 def test_swapped_points_give_the_same_tensor_and_the_negated_gradient_bitwise(rng):
-    # forces._resonant_forces takes G(r_B, r_A) and grad G(r_B, r_A) from the
+    # forces.resonant_forces takes G(r_B, r_A) and grad G(r_B, r_A) from the
     # (r_A, r_B) evaluation: the unit vector flips sign exactly.
     r1 = rng.uniform(-2e-6, 2e-6, (500, 3))
     r2 = rng.uniform(-2e-6, 2e-6, (500, 3))
@@ -131,21 +131,21 @@ def test_mode_expansion_reproduces_closed_form_off_axis():
 
 def test_axial_mode_ignores_lateral_displacement():
     # At k_par = 0 the plane wave runs along z only.
-    base = greens_cylindrical_mode(np.array([0.0, 0.0, 400e-9]), OMEGA, 0.0, 0.3)
-    moved = greens_cylindrical_mode(np.array([9e-7, -3e-7, 400e-9]), OMEGA, 0.0, 0.3)
+    k_par, k_perp = np.array([0.0]), np.array([OMEGA / c + 0j])
+    phis = 2.0 * math.pi * np.arange(16) / 16
+    base = _mode_level_sum(0.0, 0.0, 400e-9, OMEGA, k_par, k_perp)(phis)
+    moved = _mode_level_sum(9e-7, -3e-7, 400e-9, OMEGA, k_par, k_perp)(phis)
     assert np.allclose(base, moved, rtol=0.0, atol=np.max(np.abs(base)) * 1e-15)
 
 
 def test_cylindrical_mode_domain_errors():
-    delta = np.array([0.0, 0.0, 400e-9])
-    with pytest.raises(ValueError):
-        greens_cylindrical_mode(delta, OMEGA, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        greens_cylindrical_mode(np.array([1e-7, 0.0, 0.0]), OMEGA, 1.0, 0.0)
-    # k_perp = 0 at k_par = omega/c, where the 1/k_perp density is singular.
-    for phi in (0.3, np.linspace(0.0, math.pi, 5)):
-        with pytest.raises(ValueError):
-            greens_cylindrical_mode(delta, OMEGA, OMEGA / c, phi)
+    # The plane-wave factorisation exp(i k_perp |dz|) needs a source off the
+    # observation plane, and the k_par axis a positive frequency.
+    with pytest.raises(ValueError, match="nonzero z displacement"):
+        greens_free_from_modes(np.array([1e-7, 0.0, 0.0]), OMEGA)
+    for omega in (0.0, -OMEGA):
+        with pytest.raises(ValueError, match="omega"):
+            greens_free_from_modes(np.array([0.0, 0.0, 400e-9]), omega)
 
 
 def test_coincident_points_rejected():
@@ -196,33 +196,36 @@ def test_imaginary_frequency_forms_are_the_continued_kernel(eta: float):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
+    # Neither a numpy warning nor a QuadratureConvergenceError: one ValueError.
     delta = np.array([0.0, 0.0, 400e-9])
     calls = [
         lambda: greens_free(np.zeros(3), delta, bad),
         lambda: greens_free_gradient(np.zeros(3), delta, bad),
-        lambda: greens_cylindrical_mode(delta, bad, 1e6, 0.3),
-        lambda: greens_cylindrical_mode(delta, OMEGA, bad, 0.3),
-        lambda: rate_density(peak_system, bad, 0.3),
+        lambda: greens_free_from_modes(delta, bad),
+        lambda: integrate_propagating(lambda k_par, k_perp: k_par, bad),
+        lambda: integrate_evanescent(lambda k_par, k_perp: k_par, bad, 1e-6),
+        lambda: integrate_evanescent(lambda k_par, k_perp: k_par, OMEGA, bad),
+        lambda: TwoAtomSystem(bad, peak_system.dipole_a, peak_system.alpha_b, 632e-9),
+        lambda: TwoAtomSystem.cs_rb(632e-9, mass_a=bad),
+        # 2 pi c / 1e-320 overflows to an infinite frequency.
+        lambda: TwoAtomSystem.cs_rb(632e-9, wavelength=1e-320),
     ]
-    for call in calls:
-        with pytest.raises(ValueError, match="finite"):
-            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_points_and_azimuths_are_rejected(bad: float, peak_system):
     # Neither a numpy warning nor a nan result: one ValueError at the boundary.
-    delta = np.array([0.0, 0.0, 400e-9])
     point = np.array([0.0, bad, 400e-9])
     calls = [
         lambda: greens_free(np.zeros(3), point, OMEGA),
         lambda: greens_free(point, point, OMEGA),
         lambda: greens_free_gradient(point, np.zeros(3), OMEGA),
         lambda: greens_free_from_modes(point, OMEGA),
-        lambda: greens_cylindrical_mode(point, OMEGA, 1e6, 0.3),
-        lambda: greens_cylindrical_mode(delta, OMEGA, 1e6, bad),
-        lambda: greens_cylindrical_mode(delta, OMEGA, 1e6, np.array([0.3, bad])),
-        lambda: rate_density(peak_system, 1e6, bad),
         lambda: recoil_rate(peak_system, bad),
         lambda: near_field_recoil_rate(peak_system, bad),
         lambda: recoil_rate_quadrature(peak_system, bad),
@@ -235,29 +238,38 @@ def test_non_finite_points_and_azimuths_are_rejected(bad: float, peak_system):
 
 
 @pytest.mark.parametrize("k_ratio", [0.0, 0.4, 0.99, 2.5])
-def test_mode_tensor_over_phi_array_matches_per_phi_calls(k_ratio: float, mode_tensor_reference):
-    k_par = k_ratio * OMEGA / c
-    k_perp = transverse_wavenumber(k_par, OMEGA)
+def test_mode_tensor_over_phi_array_matches_per_phi_calls(
+    k_ratio: float, mode_tensor_reference, k_perp_of
+):
+    # One level of 13 azimuths and their shifts by pi against 13 two-azimuth
+    # levels, and each of those against the dyad reference at phi and phi + pi.
+    k_par = np.array([k_ratio * OMEGA / c])
+    k_perp = np.array([k_perp_of(k_par[0], OMEGA)])
     phis = np.linspace(0.0, 2.0 * math.pi, 13)
     for dz in (-0.8, 0.8):
         delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
-        stacked = greens_cylindrical_mode(delta, OMEGA, k_par, phis)
-        assert stacked.shape == (13, 3, 3)
-        for phi, tensor in zip(phis, stacked):
-            single = greens_cylindrical_mode(delta, OMEGA, k_par, float(phi))
-            assert single.shape == (3, 3)
-            assert np.max(np.abs(tensor - single)) <= 1e-14 * np.max(np.abs(single))
-            reference = mode_tensor_reference(delta, OMEGA, k_par, k_perp, phi)
+        level_sum = _mode_level_sum(*delta, OMEGA, k_par, k_perp)
+        stacked = level_sum(np.concatenate([phis, phis + math.pi]))[0, _SYMMETRIC]
+        singles = [level_sum(np.array([phi, phi + math.pi]))[0, _SYMMETRIC] for phi in phis]
+        scale = max(np.max(np.abs(single)) for single in singles)
+        assert np.max(np.abs(stacked - sum(singles))) <= 1e-14 * scale
+        for phi, single in zip(phis, singles):
+            reference = sum(
+                mode_tensor_reference(delta, OMEGA, k_par[0], k_perp[0], angle).ravel()
+                for angle in (phi, phi + math.pi)
+            )
             assert np.max(np.abs(single - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("dz", [0.8, -0.8])
 @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["level", "midpoints"])
-def test_mode_azimuth_sum_matches_summed_tensors(dz: float, offset: float, mode_tensor_reference):
+def test_mode_azimuth_sum_matches_summed_tensors(
+    dz: float, offset: float, mode_tensor_reference, k_perp_of
+):
     # The table-built level sum against the dyad reference summed per azimuth.
     delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
     k_par = np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0]) * OMEGA / c
-    k_perp = np.array([transverse_wavenumber(k, OMEGA) for k in k_par])
+    k_perp = np.array([k_perp_of(k, OMEGA) for k in k_par])
     phis = 2.0 * math.pi * (np.arange(16) + offset) / 16
     expected = np.array([
         sum(mode_tensor_reference(delta, OMEGA, k, kz, phi) for phi in phis).ravel()

@@ -25,7 +25,6 @@ from lateralvdw import (
     integrate_propagating,
     nonresonant_force,
     recoil_rate_profile,
-    transverse_wavenumber,
 )
 from lateralvdw.constants import c
 from lateralvdw.quadrature import _GAUSS, _KRONROD, _NODES
@@ -34,23 +33,39 @@ from lateralvdw.quadrature import _GAUSS, _KRONROD, _NODES
 OMEGA = c
 
 
+def _k_par_nodes(integrate, *args):
+    """The (k_par, k_perp) nodes an integrator hands a zero integrand, concatenated."""
+    seen = []
+
+    def record(k_par, k_perp):
+        seen.append((k_par, k_perp))
+        return np.zeros(len(k_par))
+
+    integrate(record, *args)
+    return tuple(np.concatenate(part) for part in zip(*seen))
+
+
 def test_transverse_wavenumber_branches():
+    # Below the light line k_perp is real and positive; above it, positive
+    # imaginary: the branch Im k_perp >= 0 the integrands are promised.
     k = OMEGA / c
-    assert transverse_wavenumber(0.0, OMEGA) == pytest.approx(k)
-    assert transverse_wavenumber(k, OMEGA) == 0.0
-    evan = transverse_wavenumber(2.0 * k, OMEGA)
-    assert evan.real == 0.0
-    assert evan.imag == pytest.approx(math.sqrt(3.0) * k)
-    with pytest.raises(ValueError):
-        transverse_wavenumber(-0.1, OMEGA)
+    k_par, k_perp = _k_par_nodes(integrate_propagating, OMEGA)
+    assert np.all(k_par < k) and np.all(k_perp.real > 0.0) and np.all(k_perp.imag == 0.0)
+    k_par, k_perp = _k_par_nodes(integrate_evanescent, OMEGA, 1.0)
+    assert np.all(k_par > k) and np.all(k_perp.real == 0.0) and np.all(k_perp.imag > 0.0)
 
 
 @given(ratio=st.floats(min_value=1e-3, max_value=1e3))
 def test_transverse_wavenumber_squares_back(ratio: float):
-    k = OMEGA / c
-    k_perp = transverse_wavenumber(ratio * k, OMEGA)
-    assert k_perp.imag >= 0.0
-    assert k_perp**2 == pytest.approx(k * k - (ratio * k) ** 2, rel=1e-12, abs=1e-12)
+    omega = ratio * OMEGA
+    k = omega / c
+    for k_par, k_perp in (
+        _k_par_nodes(integrate_propagating, omega),
+        _k_par_nodes(integrate_evanescent, omega, 1.0),
+    ):
+        assert np.all(k_perp.imag >= 0.0)
+        error = np.abs(k_perp**2 - (k * k - k_par * k_par))
+        assert np.all(error <= 1e-12 * np.maximum(k * k, k_par * k_par))
 
 
 def test_propagating_elementary_integrals():
