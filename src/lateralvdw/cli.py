@@ -49,6 +49,7 @@ from .constants import (
     CESIUM_MASS,
     CESIUM_WAVELENGTH,
     RUBIDIUM_POLARIZABILITY,
+    _require_positive,
 )
 from .dynamics import (
     DrivingParams,
@@ -162,27 +163,18 @@ def _validate_config(config: RunConfig, verb: str) -> None:
         raise ConfigError(f"format must be csv or json, got {config.format!r}")
     if config.handedness not in ("left", "right"):
         raise ConfigError(f"handedness must be left or right, got {config.handedness!r}")
-    if config.dipole_moment <= 0.0:
-        raise ConfigError("dipole_moment must be positive")
-    if config.wavelength <= 0.0:
-        raise ConfigError("wavelength must be positive")
-    if config.alpha_b <= 0.0:
-        raise ConfigError("alpha_b must be positive")
-    if config.mass_a <= 0.0:
-        raise ConfigError("mass_a must be positive")
-    if config.delta_t <= 0.0:
-        raise ConfigError("delta_t must be positive")
-    if config.f3_scale <= 0.0:
-        raise ConfigError("f3_scale must be positive")
-    if verb in ("force-curve", "velocity"):
-        if config.r_min <= 0.0:
-            raise ConfigError("r_min must be positive")
+    sweeps = verb in ("force-curve", "velocity")
+    positive = ["dipole_moment", "wavelength", "alpha_b", "mass_a", "delta_t", "f3_scale",
+                "r_min" if sweeps else "r"]
+    if config.rabi_over_detuning is not None:
+        positive.append("rabi_over_detuning")
+    for name in positive:
+        _require_positive(name, getattr(config, name))
+    if sweeps:
         if config.points < 1:
             raise ConfigError("points must be at least 1")
         if config.points > 1 and config.r_max <= config.r_min:
             raise ConfigError("r_max must exceed r_min for a sweep")
-    if verb in ("emission-spectrum", "validate") and config.r <= 0.0:
-        raise ConfigError("r must be positive")
     if verb == "emission-spectrum":
         if config.phi_points < 8:
             raise ConfigError("phi_points must be at least 8")
@@ -213,8 +205,6 @@ def _resolve_population(config: RunConfig, default: float, system: TwoAtomSystem
     if config.p1 is not None:
         return config.p1
     if config.rabi_over_detuning is not None:
-        if config.rabi_over_detuning <= 0.0:
-            raise ConfigError("rabi_over_detuning must be positive")
         # The population depends on the ratio alone, so a unit detuning carries it.
         drive = DrivingParams(
             rabi=config.rabi_over_detuning, detuning=1.0, duration=config.delta_t

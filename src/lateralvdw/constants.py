@@ -4,7 +4,9 @@ All quantities are SI unless a name says otherwise.
 """
 
 import math
+import numbers
 
+import numpy as np
 from scipy.constants import atomic_mass, c, epsilon_0, hbar, mu_0
 
 __all__ = [
@@ -46,8 +48,41 @@ RUBIDIUM_POLARIZABILITY = 4.0 * math.pi * epsilon_0 * RUBIDIUM_POLARIZABILITY_VO
 RUBIDIUM_RESONANCE_WAVELENGTH = 780.241e-9
 
 
+# The input-domain rules every layer checks at its boundary.  The closed
+# forms hold for a finite, positive d, alpha_B, omega, r and xi = omega r / c;
+# a nan or inf let through would come back as nan results or numpy warnings.
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is finite and positive.
+
+    A float costs one comparison; an ndarray is checked entry by entry and
+    the message names its first bad entry.
+    """
+    if isinstance(value, np.ndarray):
+        bad = ~(np.isfinite(value) & (value > 0.0))
+        if bad.any():
+            raise ValueError(f"{name} must be finite and positive, got {value[bad].flat[0]}")
+    elif not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless every entry of value is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer >= minimum.
+
+    A bool is not a count, and neither is a float with an integral value.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def angular_frequency(wavelength: float) -> float:
     """Angular frequency (rad/s) of light with the given vacuum wavelength."""
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    _require_positive("wavelength", wavelength)
     return 2.0 * math.pi * c / wavelength

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import c, hbar, mu_0
+from .constants import _require_finite, _require_positive, c, hbar, mu_0
 from .forces import _coupling, _return_leg, lateral_force_closed_form
 from .greens import greens_free
 from .system import TwoAtomSystem, _require_float_separation
@@ -16,7 +16,6 @@ from .system import TwoAtomSystem, _require_float_separation
 __all__ = [
     "DecayRates",
     "DrivingParams",
-    "free_decay_rate",
     "assisted_decay_rate",
     "steady_state_population",
     "accumulated_velocity",
@@ -49,13 +48,12 @@ class DrivingParams:
     duration: float
 
     def __post_init__(self):
-        if self.rabi <= 0.0:
-            raise ValueError(f"rabi must be positive, got {self.rabi}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _require_positive("rabi", self.rabi)
+        _require_finite("detuning", self.detuning)
+        _require_positive("duration", self.duration)
 
 
-def free_decay_rate(system: TwoAtomSystem) -> float:
+def _free_decay_rate(system: TwoAtomSystem) -> float:
     """Free-space spontaneous decay rate of atom A, 1/s.
 
     Gamma = (2 mu0 omega^2 / hbar) |d|^2 Im G(r, r, omega) per component,
@@ -76,11 +74,12 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
     system with N separations gives (N,) corrections.
     """
     omega = system.omega_a
-    outbound = system.dipole_a @ greens_free(system.position_a, system.position_b, omega)
+    green = greens_free(system.position_a, system.position_b, omega)
+    outbound = system.dipole_a @ green
     # Row by row as a (1, 3) @ (3, 1) product: the bits of the scalar dot.
-    sandwich = (outbound[..., None, :] @ _return_leg(system)[..., :, None])[..., 0, 0]
+    sandwich = (outbound[..., None, :] @ _return_leg(system, green)[..., :, None])[..., 0, 0]
     return DecayRates(
-        gamma_free=free_decay_rate(system),
+        gamma_free=_free_decay_rate(system),
         gamma_correction=_coupling(omega) / hbar * sandwich.imag,
     )
 
@@ -145,7 +144,6 @@ def impulse_velocity_single_shot(system: TwoAtomSystem, rates: DecayRates) -> fl
     excited-state lifetime.
     """
     _require_float_separation(system, "impulse_velocity_single_shot")
-    if rates.gamma_total <= 0.0:
-        raise ValueError("gamma_total must be positive for a single-shot estimate")
+    _require_positive("gamma_total", rates.gamma_total)
     force = lateral_force_closed_form(system, 1.0)
     return force / (system.mass_a * rates.gamma_total)

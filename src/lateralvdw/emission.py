@@ -21,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import c, hbar
+from .constants import _require_count, _require_finite, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
 from .greens import (
     _MODE_TABLE,
     _SYMMETRIC,
     _azimuth_harmonics,
-    _check_finite,
     _mode_monomials,
     _mode_node,
+    greens_free,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -135,7 +135,7 @@ def recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     x-z plane, flipping the sign of the cos(phi) term only.
     """
     _require_float_separation(system, "recoil_rate")
-    _check_finite("phi", phi)
+    _require_finite("phi", phi)
     _, hand = system.circular_parameters()
     bracket = _recoil_bracket(spectrum_coefficients(system.xi), hand, phi)
     return recoil_rate_prefactor(system) * float(bracket)
@@ -147,7 +147,7 @@ def near_field_recoil_rate(system: TwoAtomSystem, phi: float) -> float:
     Keeps the xi^3, xi^4 and xi^5 orders of the closed form; the
     remainder is O(xi^6) relative to the leading isotropic-in-sin^2 term.
     """
-    _check_finite("phi", phi)
+    _require_finite("phi", phi)
     _, hand = system.circular_parameters()
     xi = system.xi
     sin_phi = math.sin(phi)
@@ -191,7 +191,8 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     """
     omega = system.omega_a
     dz = system.position_a[2] - system.position_b[2]
-    weights = np.outer(system.dipole_a, _return_leg(system)).ravel() @ np.eye(6)[_SYMMETRIC]
+    back = greens_free(system.position_b, system.position_a, omega)
+    weights = np.outer(system.dipole_a, _return_leg(system, back)).ravel() @ np.eye(6)[_SYMMETRIC]
     table = _MODE_TABLE @ weights
     harmonics = _coupling(omega) / hbar * _azimuth_harmonics(phis)
     side = math.copysign(1.0, dz)
@@ -208,8 +209,7 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
 
 def _azimuths(n_phi: int) -> np.ndarray:
     """The equispaced grid 2 pi j / n_phi shared by every sampled spectrum."""
-    if n_phi < 8:
-        raise ValueError(f"n_phi must be at least 8, got {n_phi}")
+    _require_count("n_phi", n_phi, 8)
     return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
@@ -241,7 +241,7 @@ def recoil_rate_quadrature(
 ) -> float:
     """Recoil rate by direct quadrature of hbar k_par times the density."""
     _require_float_separation(system, "recoil_rate_quadrature")
-    _check_finite("phi", phi)
+    _require_finite("phi", phi)
     return float(_k_par_moment(system, _recoil_weight, phi, config))
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .constants import (
     RUBIDIUM_MASS,
     RUBIDIUM_RESONANCE_WAVELENGTH,
+    _require_positive,
     angular_frequency,
     c,
     hbar,
@@ -75,9 +76,7 @@ def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     an array of xi gives the array of shapes, bit for bit the scalar values.
     """
     xi = np.asarray(xi, dtype=float)
-    positive = xi > 0.0
-    if not positive.all():
-        raise ValueError(f"xi must be positive, got {xi[~positive].flat[0]}")
+    _require_positive("xi", xi)
     # Each branch runs on its own entries only; a float is a 0-d array here.
     shape = np.empty_like(xi)
     small = xi < _SHAPE_SERIES_SWITCH
@@ -136,13 +135,12 @@ def _coupling(omega: float) -> float:
     return 2.0 * mu_0**2 * omega**4
 
 
-def _return_leg(system: TwoAtomSystem, back: np.ndarray | None = None) -> np.ndarray:
+def _return_leg(system: TwoAtomSystem, back: np.ndarray) -> np.ndarray:
     """alpha_B G(r_B, r_A) . d01: (3,), or (N, 3) for N separations.
 
-    ``back`` is G(r_B, r_A) when the caller already holds it.
+    ``back`` is G(r_B, r_A), or G(r_A, r_B): the free G is even in the
+    displacement, bit for bit.
     """
-    if back is None:
-        back = greens_free(system.position_b, system.position_a, system.omega_a)
     return system.alpha_b * (back @ np.conj(system.dipole_a))
 
 
@@ -276,8 +274,7 @@ def torque_about_com(
     longitudinal and its lever arm is parallel to it.
     """
     _require_float_separation(system, "torque_about_com")
-    if mass_b <= 0.0:
-        raise ValueError(f"mass_b must be positive, got {mass_b}")
+    _require_positive("mass_b", mass_b)
     on_a, on_b = resonant_forces(system, p1)
     z_com = mass_b / (system.mass_a + mass_b) * system.position_b[2]
     com = np.array([0.0, 0.0, z_com])

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .constants import c
+from .constants import _require_finite, _require_positive, c
 from .quadrature import (
     QuadratureConfig,
     integrate_angle,
@@ -33,16 +33,6 @@ _EYE = np.eye(3)
 _EVEN = np.array([0, 3, 4, 5])
 # The nine row-major entries of a symmetric tensor from xx, xy, xz, yy, yz, zz.
 _SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _check_finite(name: str, value: float | np.ndarray) -> None:
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _displacements(r_from, r_to) -> tuple:
@@ -126,7 +116,7 @@ def greens_free(r_from, r_to, omega: float) -> np.ndarray:
     Points of shape (3,) give a (3, 3) tensor; stacked points of shape
     (N, 3) give the (N, 3, 3) stack of per-row tensors.
     """
-    _check_positive("omega", omega)
+    _require_positive("omega", omega)
     return _greens(r_from, r_to, omega)
 
 
@@ -136,7 +126,7 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     Returns grad[..., k, i, j] = d G_ij / d r_from[k], units 1/m^2: shape
     (3, 3, 3) for single points and (N, 3, 3, 3) for (N, 3) stacks.
     """
-    _check_positive("omega", omega)
+    _require_positive("omega", omega)
     return _greens_gradient(r_from, r_to, omega)
 
 
@@ -225,7 +215,7 @@ def greens_free_from_modes(delta_r, omega: float,
     then the k_par axis is integrated separately on the propagating and
     evanescent sides.
     """
-    _check_finite("delta_r", delta_r)
+    _require_finite("delta_r", delta_r)
     dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:
         raise ValueError("mode resolution requires a nonzero z displacement")

@@ -28,7 +28,6 @@ sum of its values over them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 # "import lateralvdw"`` and raises KeyError if the package stops loading it.
 import scipy.integrate  # noqa: F401
 
-from .constants import c
+from .constants import _require_count, _require_positive, c
 
 __all__ = [
     "QuadratureConfig",
@@ -59,20 +58,11 @@ class QuadratureConfig:
     def __post_init__(self):
         # Each bound also rejects nan and inf: a nan tolerance never stops a
         # rule and an infinite cutoff turns the evanescent range into nan.
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        _require_positive("rel_tol", self.rel_tol)
         if not 0.0 <= self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be finite and nonnegative, got {self.abs_tol}")
-        if (isinstance(self.max_subdivisions, bool)
-                or not isinstance(self.max_subdivisions, numbers.Integral)
-                or self.max_subdivisions < 1):
-            raise ValueError(
-                f"max_subdivisions must be an integer of at least 1, got {self.max_subdivisions!r}"
-            )
-        if not 0.0 < self.tail_cutoff_decades < math.inf:
-            raise ValueError(
-                f"tail_cutoff_decades must be finite and positive, got {self.tail_cutoff_decades}"
-            )
+        _require_count("max_subdivisions", self.max_subdivisions, 1)
+        _require_positive("tail_cutoff_decades", self.tail_cutoff_decades)
 
 
 _DEFAULT = QuadratureConfig()
@@ -238,8 +228,7 @@ def integrate_propagating(f, omega: float, config: QuadratureConfig | None = Non
     together with a shared error control).
     """
     cfg = config or _DEFAULT
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega}")
+    _require_positive("omega", omega)
     k = omega / c
 
     def g(theta):
@@ -260,10 +249,8 @@ def integrate_evanescent(f, omega: float, distance: float,
     arrays and returns the same shapes as in integrate_propagating.
     """
     cfg = config or _DEFAULT
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be finite and positive, got {omega}")
-    if not 0.0 < distance < math.inf:
-        raise ValueError(f"distance must be finite and positive, got {distance}")
+    _require_positive("omega", omega)
+    _require_positive("distance", distance)
     k = omega / c
     u_max = math.asinh(cfg.tail_cutoff_decades / (k * distance))
 

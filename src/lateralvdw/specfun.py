@@ -8,6 +8,8 @@ forms need.  A float argument gives a float; an array gives an array.
 import numpy as np
 from scipy import special
 
+from .constants import _require_positive
+
 __all__ = ["bessel_j", "bessel_y"]
 
 _ORDERS = (1, 2)
@@ -20,9 +22,7 @@ def _checked_argument(order: int, x) -> np.ndarray:
         values = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"argument must be a finite real number, got {x!r}") from None
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        raise ValueError(f"argument must be finite and positive, got {values[bad].flat[0]}")
+    _require_positive("argument", values)
     return values
 
 

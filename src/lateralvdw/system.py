@@ -19,6 +19,7 @@ from .constants import (
     CESIUM_MASS,
     CESIUM_WAVELENGTH,
     RUBIDIUM_POLARIZABILITY,
+    _require_positive,
     angular_frequency,
     c,
     epsilon_0,
@@ -39,8 +40,7 @@ def circular_dipole(magnitude: float, handedness: str = "right") -> np.ndarray:
     the imaginary x component ("right" -> +i, "left" -> -i).  The returned
     vector is a null vector under the unconjugated dot product.
     """
-    if magnitude <= 0.0:
-        raise ValueError(f"dipole magnitude must be positive, got {magnitude}")
+    _require_positive("dipole magnitude", magnitude)
     if handedness == "right":
         sx = 1.0j
     elif handedness == "left":
@@ -101,32 +101,20 @@ class TwoAtomSystem:
         self.dipole_a = np.asarray(self.dipole_a, dtype=complex)
         if self.dipole_a.shape != (3,):
             raise ValueError("dipole_a must be a 3-vector")
-        if not 0.0 < self.omega_a < math.inf:
-            raise ValueError(f"omega_a must be finite and positive, got {self.omega_a}")
+        _require_positive("omega_a", self.omega_a)
         separation = np.asarray(self.separation, dtype=float)
         if separation.ndim > 1:
             raise ValueError("separation must be a float or a 1-D array")
-        valid = np.isfinite(separation) & (separation > 0.0)
-        if not valid.all():
-            raise ValueError(
-                f"separation must be finite and positive, got {separation[~valid].flat[0]}"
-            )
+        _require_positive("separation", separation)
         if separation.ndim:
             self.separation = separation
-        if not self.alpha_b > 0.0:
-            raise ValueError(f"alpha_b must be positive, got {self.alpha_b}")
-        if not 0.0 < self.mass_a < math.inf:
-            raise ValueError(f"mass_a must be finite and positive, got {self.mass_a}")
+        _require_positive("alpha_b", self.alpha_b)
+        _require_positive("mass_a", self.mass_a)
         # Every closed form carries this scale; past the float range it
         # would turn into inf/nan forces and rows instead of an error.
         with np.errstate(all="ignore"):
             scale = _closed_form_scale(self)
-        usable = np.isfinite(scale) & (scale != 0.0)
-        if not usable.all():
-            raise ValueError(
-                "closed-form scale d^2 alpha_B / (8 pi^2 eps0^2 r^7) is "
-                f"{float(np.asarray(scale)[~usable].flat[0])}, outside the float range"
-            )
+        _require_positive("closed-form scale d^2 alpha_B / (8 pi^2 eps0^2 r^7)", scale)
 
     @classmethod
     def cs_rb(

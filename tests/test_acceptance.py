@@ -319,18 +319,19 @@ def test_public_surface_matches_the_layer_modules():
     # The package exports exactly every layer's public names and seven names
     # of constants, each once, and every exported name resolves; the
     # physical constants keep their own namespace.  resonant_forces gives
-    # the forces on both atoms in one call, and the one-mode scalar route
-    # and the unused exponential decay are gone.
+    # the forces on both atoms in one call, and the one-mode scalar route,
+    # the unused exponential decay and the free rate (DecayRates.gamma_free
+    # holds it) are gone.
     expected = [name for layer in _LAYERS for name in layer.__all__] + list(_CONSTANTS)
     assert sorted(lateralvdw.__all__) == sorted(expected)
-    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 46
+    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 45
     assert all(name in lateralvdw.constants.__all__ for name in _CONSTANTS)
     unresolved = sorted(name for name in lateralvdw.__all__ if not hasattr(lateralvdw, name))
     assert not unresolved, unresolved
     assert "resonant_forces" in lateralvdw.__all__
     removed = (
         "resonant_force_on_a", "resonant_force_on_b", "greens_cylindrical_mode",
-        "rate_density", "transverse_wavenumber", "population",
+        "rate_density", "transverse_wavenumber", "population", "free_decay_rate",
     )
     for name in removed:
         assert not any(hasattr(module, name) for module in (lateralvdw, *_LAYERS)), name

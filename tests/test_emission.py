@@ -14,6 +14,7 @@ from lateralvdw import (
     assisted_rate_correction_quadrature,
     asymmetry,
     emission_spectrum,
+    greens_free,
     integrate_evanescent,
     integrate_propagating,
     near_field_recoil_rate,
@@ -255,7 +256,7 @@ def test_mode_sandwich_matches_tensor_contraction(
     else:
         k_perp = k_perp_of(k_par, omega)
     delta = system.position_a - system.position_b
-    back = _return_leg(system)
+    back = _return_leg(system, greens_free(system.position_b, system.position_a, omega))
     contracted = np.array([
         [system.dipole_a @ mode_tensor_reference(delta, omega, k, kz, phi) @ back
          for phi in np.ravel(phis)]
@@ -344,3 +345,8 @@ def test_emission_spectrum_rejects_sparse_sampling():
         emission_spectrum(system_at_xi(1.0), 4)
     with pytest.raises(ValueError):
         recoil_rate_profile(system_at_xi(1.0), n_phi=7)
+    # A fractional count would space 9 azimuths 2 pi / 8.5 apart.
+    with pytest.raises(ValueError, match="integer"):
+        emission_spectrum(system_at_xi(1.0), 8.5)
+    with pytest.raises(ValueError, match="integer"):
+        recoil_rate_profile(system_at_xi(1.0), n_phi=8.5)

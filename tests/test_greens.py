@@ -7,16 +7,26 @@ import numpy as np
 import pytest
 
 from lateralvdw import (
+    DecayRates,
+    DrivingParams,
     QuadratureConfig,
     TwoAtomSystem,
+    angular_frequency,
+    circular_dipole,
     greens_free,
     greens_free_from_modes,
     greens_free_gradient,
+    impulse_velocity_single_shot,
     integrate_evanescent,
     integrate_propagating,
+    lateral_force_shape,
+    lateral_velocity,
     near_field_recoil_rate,
+    nonresonant_force,
     recoil_rate,
     recoil_rate_quadrature,
+    spectrum_coefficients,
+    torque_about_com,
 )
 from lateralvdw.constants import c
 from lateralvdw.greens import _SYMMETRIC, _mode_level_sum, _radial_coefficients
@@ -209,6 +219,17 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: TwoAtomSystem.cs_rb(632e-9, mass_a=bad),
         # 2 pi c / 1e-320 overflows to an infinite frequency.
         lambda: TwoAtomSystem.cs_rb(632e-9, wavelength=1e-320),
+        lambda: TwoAtomSystem.cs_rb(632e-9, alpha_b=bad),
+        lambda: torque_about_com(peak_system, 1.0, mass_b=bad),
+        lambda: lateral_velocity(peak_system, DrivingParams(0.2e9, 1e9, bad)),
+        lambda: DrivingParams(bad, 1e9, 1e-3),
+        lambda: DrivingParams(0.2e9, bad, 1e-3),
+        lambda: lateral_force_shape(bad),
+        lambda: spectrum_coefficients(bad),
+        lambda: angular_frequency(bad),
+        lambda: circular_dipole(bad),
+        lambda: nonresonant_force(peak_system, resonance_wavelength_b=bad),
+        lambda: impulse_velocity_single_shot(peak_system, DecayRates(bad, 0.0)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
