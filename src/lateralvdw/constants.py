@@ -53,18 +53,24 @@ RUBIDIUM_RESONANCE_WAVELENGTH = 780.241e-9
 # a nan or inf let through would come back as nan results or numpy warnings.
 
 
-def _require_positive(name: str, value) -> None:
+def _require_positive(name: str, value, low: float = 0.0, high: float = math.inf) -> None:
     """Raise ValueError naming ``name`` unless value is finite and positive.
 
-    A float costs one comparison; an ndarray is checked entry by entry and
+    ``low`` and ``high`` narrow the open range (0, inf) to the one a closed
+    form covers before it overflows, and the message then names them.  A
+    float costs one comparison; an ndarray is checked entry by entry and
     the message names its first bad entry.
     """
     if isinstance(value, np.ndarray):
-        bad = ~(np.isfinite(value) & (value > 0.0))
-        if bad.any():
-            raise ValueError(f"{name} must be finite and positive, got {value[bad].flat[0]}")
-    elif not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        # nan fails both comparisons.
+        bad = ~((value > low) & (value < high))
+        if not bad.any():
+            return
+        value = value[bad].flat[0]
+    elif low < value < high:
+        return
+    supported = "" if (low, high) == (0.0, math.inf) else f" in the supported range ({low!r}, {high!r})"
+    raise ValueError(f"{name} must be finite and positive{supported}, got {value}")
 
 
 def _require_finite(name: str, value) -> None:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import _require_count, _require_finite, hbar
+from .constants import _require_count, _require_finite, _require_positive, hbar
 from .forces import _coupling, _return_leg, lateral_force_shape
 from .greens import (
     _MODE_TABLE,
@@ -74,6 +74,14 @@ class EmissionSpectrum:
     f3: float
 
 
+# The xi range of spectrum_coefficients, both ends open.  At the low end
+# scipy.special.yv(2, xi) overflows to -inf, from this float down.  At the
+# high end f1 oscillates under the envelope 2 sqrt(2 pi) xi^(9/2), which
+# passes the largest float at about 2.2e68.
+_SPECTRUM_XI_LOW = 1.2525537515082666e-152
+_SPECTRUM_XI_HIGH = (float(np.finfo(float).max) / (2.0 * math.sqrt(2.0 * math.pi))) ** (2.0 / 9.0)
+
+
 def spectrum_coefficients(xi: float | np.ndarray) -> SpectrumCoefficients:
     """Dimensionless azimuthal Fourier coefficients (f1, f2, f3) of R.
 
@@ -81,10 +89,13 @@ def spectrum_coefficients(xi: float | np.ndarray) -> SpectrumCoefficients:
     dipole plane, and f3 the cos(phi) part that carries the lateral
     asymmetry; f1 and f2 involve Bessel functions of xi while f3 is -8
     times the lateral force shape.  A float xi gives floats; an array of
-    xi gives arrays, bit for bit the scalar values.
+    xi gives arrays, bit for bit the scalar values.  xi must lie between
+    _SPECTRUM_XI_LOW and _SPECTRUM_XI_HIGH (about 1.3e-152 and 2.2e68),
+    where a Bessel function or f1 overflows.
     """
-    f3 = -8.0 * lateral_force_shape(xi)
     xi = np.asarray(xi, dtype=float)
+    _require_positive("xi", xi, _SPECTRUM_XI_LOW, _SPECTRUM_XI_HIGH)
+    f3 = -8.0 * lateral_force_shape(xi)
     j1, j2 = bessel_j(1, xi), bessel_j(2, xi)
     y1, y2 = bessel_y(1, xi), bessel_y(2, xi)
     sin, cos = np.sin(xi), np.cos(xi)

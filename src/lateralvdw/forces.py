@@ -24,7 +24,7 @@ from .constants import (
     hbar,
     mu_0,
 )
-from .greens import _displacements, _radial_coefficients, greens_free, greens_free_gradient
+from .greens import _displacements, _gradient_sandwich, _radial_coefficients, greens_free
 from .quadrature import QuadratureConfig, _qag
 from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
@@ -64,6 +64,8 @@ _SHAPE_SERIES = (
 )
 # Below the switch the closed form loses ~eps/xi^4 to cancellation.
 _SHAPE_SERIES_SWITCH = 0.6
+# x2 * x2 = xi^4 overflows from the fourth root of the largest float up.
+_SHAPE_XI_LIMIT = float(np.finfo(float).max) ** 0.25
 
 
 def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
@@ -74,9 +76,10 @@ def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     integrable against the 1/r^7 envelope; below xi = 0.6 the Maclaurin
     series replaces the cancelling closed form.  A float xi gives a float;
     an array of xi gives the array of shapes, bit for bit the scalar values.
+    xi must lie below _SHAPE_XI_LIMIT (about 1.2e77), where xi^4 overflows.
     """
     xi = np.asarray(xi, dtype=float)
-    _require_positive("xi", xi)
+    _require_positive("xi", xi, high=_SHAPE_XI_LIMIT)
     # Each branch runs on its own entries only; a float is a 0-d array here.
     shape = np.empty_like(xi)
     small = xi < _SHAPE_SERIES_SWITCH
@@ -159,19 +162,20 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     Both come from one G(r_A, r_B) and one gradient: the free G is even in
     r_A - r_B and its gradient odd, so G(r_B, r_A) is G(r_A, r_B) and
     grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit, since the unit
-    vector flips sign exactly.  A system with N separations gives (N, 3)
-    forces and shapes.
+    vector flips sign exactly.  The gradient is contracted with the two
+    legs row by row (greens._gradient_sandwich): (d10, alpha_B G . d01)
+    for A and (d10 . G*, d01*) for B, negated.  A system with N
+    separations gives (N, 3) forces and shapes.
     """
     _population_valid(p1)
     omega = system.omega_a
     d10 = system.dipole_a
     green = greens_free(system.position_a, system.position_b, omega)
-    grad = greens_free_gradient(system.position_a, system.position_b, omega)
+    sandwich = _gradient_sandwich(system.position_a, system.position_b, omega)
     coupling = _coupling(omega)
 
-    sandwich_a = np.einsum("a,...kab,...b->...k", d10, grad, _return_leg(system, green))
-    fixed = d10 @ np.conj(green)
-    sandwich_b = np.einsum("...a,...kab,b->...k", fixed, -grad, np.conj(d10)) * system.alpha_b
+    sandwich_a = sandwich(d10, _return_leg(system, green))
+    sandwich_b = sandwich(d10 @ np.conj(green), np.conj(d10)) * -system.alpha_b
     return (
         _force_result(system, p1, coupling * sandwich_a.real),
         _force_result(system, p1, coupling * sandwich_b.real),

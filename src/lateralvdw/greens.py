@@ -84,6 +84,38 @@ def _radial_coefficients(xi: np.ndarray) -> tuple:
     return phase, a, b, da, db
 
 
+def _gradient_sandwich(r_from, r_to, omega: float):
+    """l . grad_k G(r_from, r_to, omega) . w per row, as a function of the legs l and w.
+
+    With G = A I + B uu and its gradient from _radial_coefficients,
+    l . grad_k G . w = A' u_k (l.w) + B' u_k (l.u)(u.w)
+                       + (B/r) [(l_k - u_k l.u)(u.w) + (l.u)(w_k - u_k u.w)]:
+    three dot products per row, and no (N, 3, 3, 3) gradient stack.  The
+    returned callable takes legs of shape (3,) or (N, 3) and gives a (3,)
+    row for single points and (N, 3) rows for (N, 3) stacks, the shapes of
+    greens_free_gradient without its last two axes.
+    """
+    lead, dist, unit = _displacements(r_from, r_to)
+    phase, _, b, da, db = _radial_coefficients(omega * dist / c)
+    # A', B' and B/r share the denominator 4 pi r^2; the two transverse u_k
+    # terms of the bracket join the B' one as B' - 2 B/r.
+    area = 4.0 * math.pi * dist * dist
+    a_prime, radial, b_over_r = phase * da / area, phase * (db - 2.0 * b) / area, phase * b / area
+    # Columns are rows here: (3, N) vectors, so each dot product sums three
+    # contiguous rows instead of reducing a last axis of length 3.
+    unit = np.ascontiguousarray(unit.T)
+
+    def contraction(left, right) -> np.ndarray:
+        left, right = np.atleast_2d(left).T, np.atleast_2d(right).T
+        lu = np.add.reduce(left * unit)
+        uw = np.add.reduce(unit * right)
+        lw = np.add.reduce(left * right)
+        rows = (a_prime * lw + radial * lu * uw) * unit + b_over_r * (uw * left + lu * right)
+        return rows.T.reshape(lead + (3,))
+
+    return contraction
+
+
 def _greens(r_from, r_to, omega) -> np.ndarray:
     """G(r_from, r_to, omega) per row; (N,) frequencies share one (3,) displacement."""
     lead, dist, unit = _displacements(r_from, r_to)

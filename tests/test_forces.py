@@ -34,7 +34,7 @@ from lateralvdw.constants import (
 )
 from lateralvdw.emission import spectrum_coefficients
 from lateralvdw.forces import _trace_gradient_imag
-from lateralvdw.greens import _greens, _greens_gradient
+from lateralvdw.greens import _gradient_sandwich, _greens, _greens_gradient, greens_free_gradient
 from lateralvdw.system import _closed_form_scale
 
 
@@ -192,6 +192,8 @@ def test_shape_rejects_nonpositive_argument():
         lateral_force_shape(0.0)
     with pytest.raises(ValueError):
         lateral_force_shape(np.array([0.5, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="supported range"):
+        lateral_force_shape(np.array([0.5, 1e78]))
 
 
 # xi -> shape; mpmath at 50 digits at the binary value of xi, rounded to 17.
@@ -400,6 +402,66 @@ def test_factored_zeta_contraction_matches_tensor_contraction():
     got = _trace_gradient_imag(dyad, r_a, r_b)(zeta, np.ones_like(zeta))
     row_scale = np.max(np.abs(expected), axis=1)
     assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * row_scale)
+
+
+def test_factored_resonant_contraction_matches_tensor_contraction():
+    """The resonant forces' contraction against the full gradient tensor.
+
+    l . grad_k G(r_A, r_B) . w summed over the greens_free_gradient stack,
+    for general complex legs and an off-axis displacement, so that every
+    term of the factored form is live, over xi in [1e-5, 1e3].  Either leg
+    may be one (3,) vector or (N, 3) rows, as in the forces on A and on B.
+    """
+    rng = np.random.default_rng(11)
+    omega = angular_frequency(CESIUM_WAVELENGTH)
+    direction = np.array([0.35, -0.25, 0.8])
+    direction /= np.linalg.norm(direction)
+    xi = np.geomspace(1e-5, 1e3, 61)
+    r_a = np.array([0.1e-7, -0.3e-7, 0.2e-7])
+    r_b = r_a - (xi * c / omega)[:, None] * direction
+    vector = rng.normal(size=3) + 1j * rng.normal(size=3)
+    rows = rng.normal(size=(61, 3)) + 1j * rng.normal(size=(61, 3))
+    grad = greens_free_gradient(r_a, r_b, omega)
+    contraction = _gradient_sandwich(r_a, r_b, omega)
+    for left, right, expected in (
+        (vector, rows, np.einsum("a,nkab,nb->nk", vector, grad, rows)),
+        (rows, vector, np.einsum("na,nkab,b->nk", rows, grad, vector)),
+    ):
+        got = contraction(left, right)
+        assert got.shape == expected.shape == (61, 3)
+        row_scale = np.max(np.abs(expected), axis=1)
+        assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * row_scale)
+    for i in (0, 30, 60):
+        expected = np.einsum("a,kab,b->k", vector, greens_free_gradient(r_a, r_b[i], omega), rows[i])
+        got = _gradient_sandwich(r_a, r_b[i], omega)(vector, rows[i])
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+# xi -> shape factors (x, y, z) on A and on B of the right-handed
+# system_at_xi(xi) at p1 = 1: mpmath at 40 digits on the binary inputs of
+# the system, with each gradient a numerical derivative of its sandwich
+# (not the analytic gradient), rounded to 17 digits.  F_B,x is zero exactly.
+RESONANT_REFERENCE = {
+    1e-3: ((-4.0000003809620558e-16, 0.0, -15.000006000036806),
+           (0.0, 0.0, 15.000006000036806)),
+    0.7: ((-0.070804914197017552, 0.0, -18.153097168087562),
+          (0.0, 0.0, 18.180100000043396)),
+    5.0: ((694.6886769124637, 0.0, 2184.0450220648115),
+          (0.0, 0.0, 790.00000000188585)),
+    60.0: ((-8547672.3913194085, 0.0, -481815204.89781018),
+           (0.0, 0.0, 12981615.000030987)),
+    1e3: ((-927820803153.87648, 0.0, -928927834222985.84),
+          (0.0, 0.0, 1000006000017.3868)),
+}
+
+
+def test_resonant_forces_match_frozen_references():
+    for xi, references in RESONANT_REFERENCE.items():
+        for result, reference in zip(resonant_forces(system_at_xi(xi), 1.0), references):
+            reference = np.array(reference)
+            error = np.max(np.abs(result.shape_factor - reference))
+            assert error <= 1e-13 * np.max(np.abs(reference)), (xi, error)
 
 
 _ARRAY_SYSTEM = TwoAtomSystem.cs_rb(np.array([2e-7, 3e-7]))

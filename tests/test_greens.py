@@ -230,6 +230,11 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: circular_dipole(bad),
         lambda: nonresonant_force(peak_system, resonance_wavelength_b=bad),
         lambda: impulse_velocity_single_shot(peak_system, DecayRates(bad, 0.0)),
+        # Finite, but past the closed forms' float range: xi^4, Y_2 and f1
+        # overflow there.
+        lambda: lateral_force_shape(1e78),
+        lambda: spectrum_coefficients(1e-160),
+        lambda: spectrum_coefficients(1e200),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
