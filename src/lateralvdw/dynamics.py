@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _require_finite, _require_positive, c, hbar, mu_0
-from .forces import _coupling, _return_leg, lateral_force_closed_form
-from .greens import greens_free
+from .forces import _coupling, _legs, lateral_force_closed_form
 from .system import TwoAtomSystem, _require_float_separation
 
 __all__ = [
@@ -73,14 +72,13 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
     closed-form counterpart of the mode-resolved density integral.  A
     system with N separations gives (N,) corrections.
     """
-    omega = system.omega_a
-    green = greens_free(system.position_a, system.position_b, omega)
-    outbound = system.dipole_a @ green
+    leg, apply, _ = _legs(system)
+    outbound = apply(system.dipole_a)
     # Row by row as a (1, 3) @ (3, 1) product: the bits of the scalar dot.
-    sandwich = (outbound[..., None, :] @ _return_leg(system, green)[..., :, None])[..., 0, 0]
+    sandwich = (outbound[..., None, :] @ (system.alpha_b * leg)[..., :, None])[..., 0, 0]
     return DecayRates(
         gamma_free=_free_decay_rate(system),
-        gamma_correction=_coupling(omega) / hbar * sandwich.imag,
+        gamma_correction=_coupling(system.omega_a) / hbar * sandwich.imag,
     )
 
 

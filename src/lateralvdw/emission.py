@@ -22,14 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import _require_count, _require_finite, _require_positive, hbar
-from .forces import _coupling, _return_leg, lateral_force_shape
+from .forces import _coupling, _legs, lateral_force_shape
 from .greens import (
     _MODE_TABLE,
     _SYMMETRIC,
     _azimuth_harmonics,
     _mode_monomials,
     _mode_node,
-    greens_free,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -202,8 +201,8 @@ def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
     """
     omega = system.omega_a
     dz = system.position_a[2] - system.position_b[2]
-    back = greens_free(system.position_b, system.position_a, omega)
-    weights = np.outer(system.dipole_a, _return_leg(system, back)).ravel() @ np.eye(6)[_SYMMETRIC]
+    back = system.alpha_b * _legs(system)[0]
+    weights = np.outer(system.dipole_a, back).ravel() @ np.eye(6)[_SYMMETRIC]
     table = _MODE_TABLE @ weights
     harmonics = _coupling(omega) / hbar * _azimuth_harmonics(phis)
     side = math.copysign(1.0, dz)

@@ -24,7 +24,7 @@ from .constants import (
     hbar,
     mu_0,
 )
-from .greens import _displacements, _gradient_sandwich, _radial_coefficients, greens_free
+from .greens import _contractions, _displacements, _radial_coefficients
 from .quadrature import QuadratureConfig, _qag
 from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
@@ -64,8 +64,9 @@ _SHAPE_SERIES = (
 )
 # Below the switch the closed form loses ~eps/xi^4 to cancellation.
 _SHAPE_SERIES_SWITCH = 0.6
-# x2 * x2 = xi^4 overflows from the fourth root of the largest float up.
-_SHAPE_XI_LIMIT = float(np.finfo(float).max) ** 0.25
+# x^4 overflows from the fourth root of the largest float up: xi^4 in the
+# shape, omega^4 in the coupling.
+_FOURTH_POWER_LIMIT = float(np.finfo(float).max) ** 0.25
 
 
 def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
@@ -76,10 +77,10 @@ def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:
     integrable against the 1/r^7 envelope; below xi = 0.6 the Maclaurin
     series replaces the cancelling closed form.  A float xi gives a float;
     an array of xi gives the array of shapes, bit for bit the scalar values.
-    xi must lie below _SHAPE_XI_LIMIT (about 1.2e77), where xi^4 overflows.
+    xi must lie below _FOURTH_POWER_LIMIT (about 1.2e77), where xi^4 overflows.
     """
     xi = np.asarray(xi, dtype=float)
-    _require_positive("xi", xi, high=_SHAPE_XI_LIMIT)
+    _require_positive("xi", xi, high=_FOURTH_POWER_LIMIT)
     # Each branch runs on its own entries only; a float is a 0-d array here.
     shape = np.empty_like(xi)
     small = xi < _SHAPE_SERIES_SWITCH
@@ -129,22 +130,26 @@ def _force_result(system: TwoAtomSystem, p1: float, force_unit: np.ndarray) -> F
 
 # The scattered-field sandwich d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01 is
 # shared by both resonant forces, the mode-resolved emission density and the
-# assisted decay rate; its coupling and its return leg live here only.
+# assisted decay rate; its coupling and its legs live here only.
 
 
 def _coupling(omega: float) -> float:
     """2 mu0^2 omega^4: the sandwich times this is a force (gradient) or hbar
     times a rate (imaginary part)."""
+    _require_positive("omega", omega, high=_FOURTH_POWER_LIMIT)
     return 2.0 * mu_0**2 * omega**4
 
 
-def _return_leg(system: TwoAtomSystem, back: np.ndarray) -> np.ndarray:
-    """alpha_B G(r_B, r_A) . d01: (3,), or (N, 3) for N separations.
+def _legs(system: TwoAtomSystem) -> tuple:
+    """The leg G(r_A, r_B) . d01 and the contractions of greens._contractions.
 
-    ``back`` is G(r_B, r_A), or G(r_A, r_B): the free G is even in the
-    displacement, bit for bit.
+    The leg is (3,), or (N, 3) for N separations; alpha_B times it is the
+    return leg alpha_B G(r_B, r_A) . d01, since the free G is even in the
+    displacement, bit for bit.  The contractions are G(r_A, r_B) . v and
+    l . grad_k G(r_A, r_B) . w at the system's separations.
     """
-    return system.alpha_b * (back @ np.conj(system.dipole_a))
+    apply, gradient = _contractions(system.position_a, system.position_b, system.omega_a)
+    return apply(np.conj(system.dipole_a)), apply, gradient
 
 
 def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
@@ -159,23 +164,22 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     at r = r_B.  The phase factors of F_B cancel pairwise, which removes
     both its lateral component and the standing-wave oscillation in z.
 
-    Both come from one G(r_A, r_B) and one gradient: the free G is even in
-    r_A - r_B and its gradient odd, so G(r_B, r_A) is G(r_A, r_B) and
+    Both come from one leg G(r_A, r_B) . d01 and one gradient: the free G is
+    even in r_A - r_B and its gradient odd, so G(r_B, r_A) is G(r_A, r_B) and
     grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit, since the unit
     vector flips sign exactly.  The gradient is contracted with the two
-    legs row by row (greens._gradient_sandwich): (d10, alpha_B G . d01)
-    for A and (d10 . G*, d01*) for B, negated.  A system with N
-    separations gives (N, 3) forces and shapes.
+    legs row by row (greens._contractions): (d10, alpha_B G . d01) for A
+    and (d10 . G*, d01) for B, negated, where d10 . G* is the conjugate of
+    G . d01 for the symmetric G.  A system with N separations gives (N, 3)
+    forces and shapes.
     """
     _population_valid(p1)
-    omega = system.omega_a
+    coupling = _coupling(system.omega_a)
     d10 = system.dipole_a
-    green = greens_free(system.position_a, system.position_b, omega)
-    sandwich = _gradient_sandwich(system.position_a, system.position_b, omega)
-    coupling = _coupling(omega)
+    leg, _, gradient = _legs(system)
 
-    sandwich_a = sandwich(d10, _return_leg(system, green))
-    sandwich_b = sandwich(d10 @ np.conj(green), np.conj(d10)) * -system.alpha_b
+    sandwich_a = gradient(d10, system.alpha_b * leg)
+    sandwich_b = gradient(np.conj(leg), np.conj(d10)) * -system.alpha_b
     return (
         _force_result(system, p1, coupling * sandwich_a.real),
         _force_result(system, p1, coupling * sandwich_b.real),
@@ -213,10 +217,14 @@ def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):
     return contraction
 
 
+# The zeta integral's tolerance is relative only: the force spans many
+# decades with the separation.
+_NONRESONANT_QUADRATURE = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+
+
 def nonresonant_force(
     system: TwoAtomSystem,
     resonance_wavelength_b: float = RUBIDIUM_RESONANCE_WAVELENGTH,
-    config: QuadratureConfig | None = None,
 ) -> np.ndarray:
     """Ground-state-like force from the imaginary-frequency integral, newtons.
 
@@ -231,7 +239,6 @@ def nonresonant_force(
     no lateral component.
     """
     _require_float_separation(system, "nonresonant_force")
-    cfg = config or QuadratureConfig()
     omega_a = system.omega_a
     omega_b = angular_frequency(resonance_wavelength_b)
     if omega_b <= omega_a:
@@ -255,18 +262,8 @@ def nonresonant_force(
         alpha_b = alpha_b_static * omega_b**2 / (omega_b**2 + zeta**2)
         return contraction(zeta, zeta**4 * kappa_a * alpha_b)
 
-    zeta_max = cfg.tail_cutoff_decades * c / (2.0 * system.separation)
-    fvec = _qag(
-        integrand,
-        0.0,
-        zeta_max,
-        QuadratureConfig(
-            rel_tol=min(cfg.rel_tol, 1e-10),
-            abs_tol=0.0,
-            max_subdivisions=max(cfg.max_subdivisions, 200),
-        ),
-    )
-    return hbar * mu_0**2 / math.pi * fvec
+    zeta_max = _NONRESONANT_QUADRATURE.tail_cutoff_decades * c / (2.0 * system.separation)
+    return hbar * mu_0**2 / math.pi * _qag(integrand, 0.0, zeta_max, _NONRESONANT_QUADRATURE)
 
 
 def torque_about_com(

@@ -77,43 +77,63 @@ def _radial_coefficients(xi: np.ndarray) -> tuple:
     The gradient of G with respect to r_from is
     A' u_k I + B' u_k uu + (B/r) [(e_k - u_k u) u + u (e_k - u_k u)].
     """
-    phase, a, b = _shape_coefficients(xi)
+    return _shape_coefficients(xi) + _derivative_shapes(xi)
+
+
+def _derivative_shapes(xi: np.ndarray) -> tuple:
+    """The shapes da, db of the radial derivatives in _radial_coefficients."""
     inv = 1.0 / xi
     da = 1j * xi - 2.0 - 3j * inv + 3.0 * inv * inv
     db = -1j * xi + 4.0 + 9j * inv - 9.0 * inv * inv
-    return phase, a, b, da, db
+    return da, db
 
 
-def _gradient_sandwich(r_from, r_to, omega: float):
-    """l . grad_k G(r_from, r_to, omega) . w per row, as a function of the legs l and w.
+def _contractions(r_from, r_to, omega: float) -> tuple:
+    """G(r_from, r_to, omega) . v and l . grad_k G . w per row, as two functions.
 
     With G = A I + B uu and its gradient from _radial_coefficients,
+    G . v = A (v - u (u.v)) + (A + B) u (u.v) and
     l . grad_k G . w = A' u_k (l.w) + B' u_k (l.u)(u.w)
                        + (B/r) [(l_k - u_k l.u)(u.w) + (l.u)(w_k - u_k u.w)]:
-    three dot products per row, and no (N, 3, 3, 3) gradient stack.  The
-    returned callable takes legs of shape (3,) or (N, 3) and gives a (3,)
-    row for single points and (N, 3) rows for (N, 3) stacks, the shapes of
-    greens_free_gradient without its last two axes.
+    dot products per row, and no (N, 3, 3) or (N, 3, 3, 3) tensor stack.
+    The displacement, the phase and the shapes are formed once; the
+    derivative shapes only when a gradient is first contracted.  Both
+    functions take vectors of shape (3,) or (N, 3) and give a (3,) row for
+    single points and (N, 3) rows for (N, 3) stacks.
     """
     lead, dist, unit = _displacements(r_from, r_to)
-    phase, _, b, da, db = _radial_coefficients(omega * dist / c)
-    # A', B' and B/r share the denominator 4 pi r^2; the two transverse u_k
-    # terms of the bracket join the B' one as B' - 2 B/r.
-    area = 4.0 * math.pi * dist * dist
-    a_prime, radial, b_over_r = phase * da / area, phase * (db - 2.0 * b) / area, phase * b / area
+    xi = omega * dist / c
+    phase, a, b = _shape_coefficients(xi)
+    scale = phase / (4.0 * math.pi * dist)
+    # a + b summed before the scale, as in _greens, so on-axis rows are its bits.
+    transverse, radial = scale * a, scale * (a + b)
     # Columns are rows here: (3, N) vectors, so each dot product sums three
     # contiguous rows instead of reducing a last axis of length 3.
     unit = np.ascontiguousarray(unit.T)
+    derivative = None
 
-    def contraction(left, right) -> np.ndarray:
+    def apply(vector) -> np.ndarray:
+        vector = np.atleast_2d(vector).T
+        along = unit * np.add.reduce(unit * vector)
+        return (transverse * (vector - along) + radial * along).T.reshape(lead + (3,))
+
+    def gradient(left, right) -> np.ndarray:
+        nonlocal derivative
+        if derivative is None:
+            # A', B' and B/r share the denominator 4 pi r^2; the two transverse
+            # u_k terms of the bracket join the B' one as B' - 2 B/r.
+            da, db = _derivative_shapes(xi)
+            area = 4.0 * math.pi * dist * dist
+            derivative = phase * da / area, phase * (db - 2.0 * b) / area, phase * b / area
+        a_prime, radial_prime, b_over_r = derivative
         left, right = np.atleast_2d(left).T, np.atleast_2d(right).T
         lu = np.add.reduce(left * unit)
         uw = np.add.reduce(unit * right)
         lw = np.add.reduce(left * right)
-        rows = (a_prime * lw + radial * lu * uw) * unit + b_over_r * (uw * left + lu * right)
+        rows = (a_prime * lw + radial_prime * lu * uw) * unit + b_over_r * (uw * left + lu * right)
         return rows.T.reshape(lead + (3,))
 
-    return contraction
+    return apply, gradient
 
 
 def _greens(r_from, r_to, omega) -> np.ndarray:

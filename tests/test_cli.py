@@ -292,6 +292,10 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         (["force-curve", "--r-min", "1e-60", "--r-max", "1e-59", "--points", "2"], None),
         # d^2 overflows.
         (["force-curve"], "dipole_moment = 1e200\n"),
+        # omega^4 overflows in the resonant coupling.
+        (["force-curve"], "wavelength = 1e-70\n"),
+        (["validate"], "wavelength = 1e-70\n"),
+        (["velocity"], "wavelength = 1e-70\nrabi = 2e7\ndetuning = 1e9\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(

@@ -27,7 +27,7 @@ from lateralvdw import (
 from lateralvdw.constants import c, hbar
 from lateralvdw.dynamics import assisted_decay_rate
 from lateralvdw.emission import _mode_sandwich_profile
-from lateralvdw.forces import _coupling, _return_leg
+from lateralvdw.forces import _coupling
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
 COEFF_REFERENCE = {
@@ -256,7 +256,8 @@ def test_mode_sandwich_matches_tensor_contraction(
     else:
         k_perp = k_perp_of(k_par, omega)
     delta = system.position_a - system.position_b
-    back = _return_leg(system, greens_free(system.position_b, system.position_a, omega))
+    back = system.alpha_b * (greens_free(system.position_b, system.position_a, omega)
+                             @ np.conj(system.dipole_a))
     contracted = np.array([
         [system.dipole_a @ mode_tensor_reference(delta, omega, k, kz, phi) @ back
          for phi in np.ravel(phis)]

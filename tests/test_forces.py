@@ -12,6 +12,7 @@ from lateralvdw import (
     TwoAtomSystem,
     assisted_decay_rate,
     assisted_rate_correction_quadrature,
+    greens,
     impulse_velocity_single_shot,
     lateral_force_closed_form,
     lateral_force_shape,
@@ -34,7 +35,13 @@ from lateralvdw.constants import (
 )
 from lateralvdw.emission import spectrum_coefficients
 from lateralvdw.forces import _trace_gradient_imag
-from lateralvdw.greens import _gradient_sandwich, _greens, _greens_gradient, greens_free_gradient
+from lateralvdw.greens import (
+    _contractions,
+    _greens,
+    _greens_gradient,
+    greens_free,
+    greens_free_gradient,
+)
 from lateralvdw.system import _closed_form_scale
 
 
@@ -405,12 +412,13 @@ def test_factored_zeta_contraction_matches_tensor_contraction():
 
 
 def test_factored_resonant_contraction_matches_tensor_contraction():
-    """The resonant forces' contraction against the full gradient tensor.
+    """The sandwich's two contractions against the full tensors.
 
-    l . grad_k G(r_A, r_B) . w summed over the greens_free_gradient stack,
-    for general complex legs and an off-axis displacement, so that every
-    term of the factored form is live, over xi in [1e-5, 1e3].  Either leg
-    may be one (3,) vector or (N, 3) rows, as in the forces on A and on B.
+    G(r_A, r_B) . v against greens_free @ v, and l . grad_k G(r_A, r_B) . w
+    summed over the greens_free_gradient stack, for general complex vectors
+    and an off-axis displacement, so that every term of the factored forms
+    is live, over xi in [1e-5, 1e3].  Each vector may be one (3,) vector or
+    (N, 3) rows, as in the forces on A and on B.
     """
     rng = np.random.default_rng(11)
     omega = angular_frequency(CESIUM_WAVELENGTH)
@@ -421,21 +429,45 @@ def test_factored_resonant_contraction_matches_tensor_contraction():
     r_b = r_a - (xi * c / omega)[:, None] * direction
     vector = rng.normal(size=3) + 1j * rng.normal(size=3)
     rows = rng.normal(size=(61, 3)) + 1j * rng.normal(size=(61, 3))
+    green = greens_free(r_a, r_b, omega)
     grad = greens_free_gradient(r_a, r_b, omega)
-    contraction = _gradient_sandwich(r_a, r_b, omega)
-    for left, right, expected in (
-        (vector, rows, np.einsum("a,nkab,nb->nk", vector, grad, rows)),
-        (rows, vector, np.einsum("na,nkab,b->nk", rows, grad, vector)),
+    apply, gradient = _contractions(r_a, r_b, omega)
+    for got, expected in (
+        (apply(vector), green @ vector),
+        (apply(rows), np.einsum("nab,nb->na", green, rows)),
+        (gradient(vector, rows), np.einsum("a,nkab,nb->nk", vector, grad, rows)),
+        (gradient(rows, vector), np.einsum("na,nkab,b->nk", rows, grad, vector)),
     ):
-        got = contraction(left, right)
         assert got.shape == expected.shape == (61, 3)
         row_scale = np.max(np.abs(expected), axis=1)
         assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * row_scale)
     for i in (0, 30, 60):
-        expected = np.einsum("a,kab,b->k", vector, greens_free_gradient(r_a, r_b[i], omega), rows[i])
-        got = _gradient_sandwich(r_a, r_b[i], omega)(vector, rows[i])
-        assert got.shape == (3,)
-        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        apply, gradient = _contractions(r_a, r_b[i], omega)
+        for got, expected in (
+            (apply(vector), greens_free(r_a, r_b[i], omega) @ vector),
+            (gradient(vector, rows[i]),
+             np.einsum("a,kab,b->k", vector, greens_free_gradient(r_a, r_b[i], omega), rows[i])),
+        ):
+            assert got.shape == (3,)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_sandwich_routes_build_no_tensor_stack(monkeypatch):
+    """Every route through the Born sandwich contracts its legs row by row."""
+
+    def no_stack(*args):
+        raise AssertionError("a sandwich route built a Green's tensor stack")
+
+    monkeypatch.setattr(greens, "_greens", no_stack)
+    monkeypatch.setattr(greens, "_greens_gradient", no_stack)
+    sweep = TwoAtomSystem.cs_rb(np.geomspace(1e-8, 1e-6, 5))
+    system = system_at_xi(1.3)
+    resonant_forces(sweep, 1.0)
+    assisted_decay_rate(system)
+    assisted_decay_rate(sweep)
+    recoil_rate_profile(system, 16)
+    recoil_rate_quadrature(system, 0.3)
+    assisted_rate_correction_quadrature(system)
 
 
 # xi -> shape factors (x, y, z) on A and on B of the right-handed

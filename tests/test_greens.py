@@ -12,6 +12,7 @@ from lateralvdw import (
     QuadratureConfig,
     TwoAtomSystem,
     angular_frequency,
+    assisted_decay_rate,
     circular_dipole,
     greens_free,
     greens_free_from_modes,
@@ -25,6 +26,7 @@ from lateralvdw import (
     nonresonant_force,
     recoil_rate,
     recoil_rate_quadrature,
+    resonant_forces,
     spectrum_coefficients,
     torque_about_com,
 )
@@ -208,6 +210,7 @@ def test_imaginary_frequency_forms_are_the_continued_kernel(eta: float):
 def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
     # Neither a numpy warning nor a QuadratureConvergenceError: one ValueError.
     delta = np.array([0.0, 0.0, 400e-9])
+    far_ultraviolet = TwoAtomSystem.cs_rb(np.array([1e-7, 2e-7]), wavelength=1e-70)
     calls = [
         lambda: greens_free(np.zeros(3), delta, bad),
         lambda: greens_free_gradient(np.zeros(3), delta, bad),
@@ -231,10 +234,12 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: nonresonant_force(peak_system, resonance_wavelength_b=bad),
         lambda: impulse_velocity_single_shot(peak_system, DecayRates(bad, 0.0)),
         # Finite, but past the closed forms' float range: xi^4, Y_2 and f1
-        # overflow there.
+        # overflow there, and omega^4 in the resonant coupling.
         lambda: lateral_force_shape(1e78),
         lambda: spectrum_coefficients(1e-160),
         lambda: spectrum_coefficients(1e200),
+        lambda: resonant_forces(far_ultraviolet, 1.0),
+        lambda: assisted_decay_rate(far_ultraviolet),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
