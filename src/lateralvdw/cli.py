@@ -11,16 +11,19 @@ Output is CSV with '#'-prefixed metadata lines, or JSON with a "meta"
 object and a "rows" array (--format json).  Every number is written as
 its repr() text, so a fixed configuration yields byte-identical files;
 the metadata timestamp is suppressed by --no-timestamp for that purpose.
-The three numeric verbs build their table as one float64 array, written
-as one byte string: one orjson pass, whose shortest round-trip digits
-are repr's, respelled on the bytes to repr's exponent form, with repr's
-text spliced in for the cells in [1e-5, 1e-4) that orjson writes
-positionally.  Each comma between cells becomes a marker byte naming its
-column (0x80 and up, so it cannot clash with orjson's ASCII float text),
-and one bytes.replace per marker puts in the CSV or JSON separator; no
-string is made per cell.  That text is also the JSON encoder's for a
-finite float.  A table with a non-finite cell is not written: the run
-stops with one error line naming the column and the separation.
+The three numeric verbs build their table as one float64 array and
+stream it to the file as bytes, in blocks of 2048 rows: per block, one
+orjson pass, whose shortest round-trip digits are repr's, respelled on
+the bytes to repr's form (the exponents, and the cells in [1e-5, 1e-4)
+that orjson writes positionally).  CSV's single-byte separators go
+straight onto orjson's commas; each of JSON's longer ones goes in through
+a marker byte naming its column (0x80 and up, so it cannot clash with
+orjson's ASCII float text) and one bytes.replace.  No string is made per
+cell and no body is decoded to str.  That text is also the JSON
+encoder's for a finite float.  Every table goes to a temp file renamed
+into place, with the mode that open() gives a new file.  A table with a
+non-finite cell is not written: the run stops with one error line naming
+the column and the separation.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
@@ -274,28 +277,36 @@ def _base_meta(config: RunConfig, verb: str) -> dict:
     return meta
 
 
-def _float_body(table: np.ndarray, separators: typing.Sequence[str]) -> str:
-    """repr's text of every cell of a finite 2-d float64 table, one string.
+# Rows per block of a numeric table: each block's text is written before the
+# next is made, so at most one block's bytes (0.1-0.25 MB) are alive at once.
+_BLOCK_ROWS = 2048
+
+# Stands in for the bytes a positional cell's respelling leaves over; one
+# bytes.replace drops them.  ASCII DEL: in neither orjson's float text nor
+# the column markers (0x80 and up).
+_DROP = 0x7F
+
+
+def _float_body(table: np.ndarray, separators: typing.Sequence[str]) -> bytes:
+    """repr's text of every cell of a finite 2-d float64 table, as bytes.
 
     ``separators[j]`` follows each cell of column j: the last one is the
     row break, and none follows the table's last cell.  orjson writes the
     same shortest round-trip digits as repr in one pass over the flattened
-    cells; only the spelling differs, and it is mended on the bytes: repr
-    writes 1e+16 and 1e-07 where orjson writes 1e16 and 1e-7, and repr
-    switches to an exponent below 1e-4 where orjson stays positional down
-    to 1e-5 (0.000035 against 3.5e-05), so those few cells alone go
-    through repr.  The comma after cell i becomes the marker byte
-    0x80 + (i mod k) for a k-column table; orjson's float text is ASCII,
-    so no marker clashes with it, and one bytes.replace per marker puts
-    in that column's (ASCII) separator.  Only the cells that go through
-    repr get a Python object of their own.
+    cells; only the spelling differs, and it is mended on the bytes.  repr
+    writes 1e+16 and 1e-07 where orjson writes 1e16 and 1e-7, so a '+' and
+    a '0' are inserted.  repr switches to an exponent below 1e-4 where
+    orjson stays positional down to 1e-5: 0.0000 and the digits d1..dn
+    become d1.d2..dn (d1 for one digit) and e-05 in place, and the bytes
+    left over are dropped.  A single-byte separator goes straight onto its
+    comma.  The comma after a cell of column j with a longer separator
+    becomes the marker byte 0x80 + j, which cannot clash with orjson's
+    ASCII float text, and one bytes.replace per marker puts the separator
+    in.  No Python object is made per cell.
     """
     import orjson  # paid by the first table written, not by importing the CLI
 
     values = table.ravel()
-    k = table.shape[1]
-    if k > 128:
-        raise ValueError(f"a numeric table has at most 128 columns, not {k}")
     text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
     exponent = np.flatnonzero(text == ord("e")) + 1
     negative = text[exponent] == ord("-")
@@ -304,51 +315,57 @@ def _float_body(table: np.ndarray, separators: typing.Sequence[str]) -> str:
     single = (after < ord("0")) | (after > ord("9"))
     # '+' goes before a positive exponent, '0' before a one-digit one; at
     # one index (1e+07) the '+' is listed first, and np.insert keeps order.
-    counts = (np.count_nonzero(~negative), np.count_nonzero(single))
-    text = np.insert(
-        text,
-        np.concatenate((exponent[~negative], first[single])),
-        np.repeat(np.frombuffer(b"+0", np.uint8), counts),
-    )[1:-1]
-    commas = np.flatnonzero(text == ord(","))
-    text[commas] = np.tile(np.arange(0x80, 0x80 + k, dtype=np.uint8), len(table))[:-1]
-    body = text.tobytes()
+    at = [exponent[~negative], first[single]]
+    fill = [np.repeat(np.frombuffer(b"+0", np.uint8),
+                      (np.count_nonzero(~negative), np.count_nonzero(single)))]
     magnitude = np.abs(values)
     positional = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
     if len(positional):
-        # Cell i spans bounds[i] + 1 to bounds[i + 1], between its commas.
-        bounds = np.concatenate(([-1], commas, [len(body)]))
-        pieces, done = [], 0
-        for x, start, end in zip(
-            values[positional].tolist(),
-            (bounds[positional] + 1).tolist(),
-            bounds[positional + 1].tolist(),
-        ):
-            pieces += (body[done:start], repr(x).encode("ascii"))
-            done = end
-        pieces.append(body[done:])
-        body = b"".join(pieces)
+        text = text.copy()
+        # Cell i runs from its '0' (after a '-' if negative) to the comma or
+        # ']' at its end; '[' opens the text.
+        commas = np.flatnonzero(text == ord(","))
+        start = np.concatenate(([0], commas))[positional] + 1 + (values[positional] < 0)
+        end = np.append(commas, len(text) - 1)[positional]
+        # 0.0000d1d2..dn -> five dropped bytes, d1, '.' (dropped for one digit)
+        # and d2..dn in place; e-05 is inserted at the end.
+        text[start + 5] = text[start + 6]
+        text[start + 6] = np.where(end - start > 7, ord("."), _DROP)
+        text[start[:, None] + np.arange(5)] = _DROP
+        at.append(np.repeat(end, 4))
+        fill.append(np.tile(np.frombuffer(b"e-05", np.uint8), len(positional)))
+    text = np.insert(text, np.concatenate(at), np.concatenate(fill))[1:-1]
+    commas = np.flatnonzero(text == ord(","))
+    k = table.shape[1]
     for j, separator in enumerate(separators):
-        body = body.replace(bytes((0x80 + j,)), separator.encode("ascii"))
-    return body.decode("ascii")
+        if separator != ",":
+            text[commas[j::k]] = ord(separator) if len(separator) == 1 else 0x80 + j
+    body = text.tobytes()
+    if len(positional):
+        body = body.replace(bytes((_DROP,)), b"")
+    for j, separator in enumerate(separators):
+        if len(separator) > 1:
+            body = body.replace(bytes((0x80 + j,)), separator.encode("ascii"))
+    return body
 
 
-def _render(meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str) -> str:
-    """Serialise one table.
+def _render(
+    meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, fmt: str
+) -> typing.Iterator[bytes]:
+    """Serialise one table as a stream of byte chunks.
 
     Each format has one row layout, built once: a head before the first
     cell, the separator after each column's cell (the last one is the row
     break, which closes one row and opens the next) and a tail after the
-    last cell; CSV's head and tail are empty.  A numeric table is a float64
-    array whose cells are all finite (``_run`` checks that).
-    ``_float_body`` writes it as one byte string: repr's text of each cell,
-    with a marker byte (0x80 and up, never in the ASCII float text) in
-    place of each comma, replaced by that column's separator.  repr of a
-    finite float is also what json.dumps writes for it.  Any other table is
-    a list of rows of mixed cells, each formatted by ``_format_value`` (CSV)
-    or json.dumps (JSON) into a row template with ``%s`` cells between the
-    same separators.  The whole text is joined once from the metadata
-    prefix, the body and the suffix.
+    last cell; CSV's head and tail are empty.  The chunks are the metadata
+    prefix, the body and the suffix.  A numeric table is a float64 array
+    whose cells are all finite (``_run`` checks that); its body comes in
+    blocks of ``_BLOCK_ROWS`` rows, each written by ``_float_body`` as
+    repr's text of its cells, with the row break between blocks.  repr of
+    a finite float is also what json.dumps writes for it.  Any other table
+    is a list of rows of mixed cells, each formatted by ``_format_value``
+    (CSV) or json.dumps (JSON) into a row template with ``%s`` cells between
+    the same separators, and its body is one chunk.
     """
     if fmt == "json":
         # The bytes of json.dumps({"meta": ..., "rows": ...}, indent=2,
@@ -364,7 +381,8 @@ def _render(meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, 
         )
         prefix = f'{meta_text[:-2]},\n  "rows": ['
         if not len(rows):
-            return prefix + "]\n}\n"
+            yield (prefix + "]\n}\n").encode("utf-8")
+            return
         prefix, suffix = f"{prefix}\n{head}", f"{tail}\n  ]\n}}\n"
     else:
         order, cell = list(range(len(columns))), _format_value
@@ -372,30 +390,45 @@ def _render(meta: dict, columns: typing.Sequence[str], rows: np.ndarray | list, 
         lines = [f"# {key} = {_format_value(meta[key])}" for key in sorted(meta)]
         lines.append(",".join(columns))
         prefix, suffix = "\n".join(lines) + "\n", "\n" if len(rows) else ""
+    yield prefix.encode("utf-8")
     if isinstance(rows, np.ndarray):
-        body = _float_body(rows[:, order], separators)
+        if len(columns) > 128:
+            raise ValueError(f"a numeric table has at most 128 columns, not {len(columns)}")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            if start:
+                yield separators[-1].encode("ascii")
+            yield _float_body(rows[start:start + _BLOCK_ROWS, order], separators)
     else:
         template = "%s".join(["", *separators[:-1], ""])
         body = separators[-1].join([template] * len(rows)) % tuple(
             cell(row[i]) for row in rows for i in order
         )
-    return "".join((prefix, body, suffix))
+        yield body.encode("utf-8")
+    yield suffix.encode("utf-8")
 
 
-def _write_atomic(path: str, payload: str) -> None:
+def _write_atomic(path: str, chunks: typing.Iterable[bytes]) -> None:
     # Temp file in the destination directory so os.replace stays atomic.
     # Renaming over an existing file costs more than onto a new name: ext4
     # starts writeback when a rename replaces a file (a median of 0.8 ms,
     # up to 1.1 ms, against 0.013 ms for a 1 MB table).  A reader never
-    # sees a half-written table, so the replace stays.
+    # sees a half-written table, so the replace stays.  The chunks are
+    # written as they are made, in binary mode; one that raises leaves the
+    # old file as it was and no temp file.
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".lateralvdw-", suffix=".tmp")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file 0600; give it the mode that open(path, "w")
+            # gives a new file.  Reading the umask means setting it, so it is
+            # set back at once.
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -198,7 +198,7 @@ def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):
     (N, 3, 3) or (N, 3, 3, 3) tensor stack.
     """
     _, dist, unit = _displacements(r_a, r_b)
-    dist, unit = dist[0], unit[0]
+    dist, unit = dist[0], unit[:, 0]
     radial = unit @ dyad @ unit
     trace = np.trace(dyad)
     axes = np.stack([unit, dyad @ unit - radial * unit])

@@ -39,19 +39,22 @@ def _displacements(r_from, r_to) -> tuple:
     """Flattened rows of r_from - r_to: leading shape, distances and unit vectors.
 
     Leading axes broadcast, so (3,) points give one row and (N, 3) stacks N.
+    The unit vectors come as (3, N) columns, one contiguous row per axis.
     """
     with np.errstate(invalid="ignore"):  # inf - inf gives nan, rejected below
         rr = np.subtract(r_from, r_to, dtype=float)
     lead = rr.shape[:-1]
-    rr = rr.reshape(-1, 3)
-    # sqrt of the row sums of squares: the bits of np.linalg.norm, without its dispatch.
-    dist = np.sqrt(np.add.reduce(rr * rr, axis=-1))
+    rr = np.ascontiguousarray(rr.reshape(-1, 3).T)
+    # sqrt of (x^2 + y^2) + z^2 over three contiguous rows: the bits of
+    # np.linalg.norm, without its dispatch or a reduction over an axis of 3.
+    squares = rr * rr
+    dist = np.sqrt(squares[0] + squares[1] + squares[2])
     # A nan or infinite coordinate leaves a nan or infinite distance.
     if not np.isfinite(dist).all():
         raise ValueError("Green's tensor requires finite points")
     if not dist.all():
         raise ValueError("Green's tensor requires two distinct points")
-    return lead, dist, rr / dist[:, None]
+    return lead, dist, rr / dist
 
 
 # The coefficient kernels below take xi on the real axis or, for
@@ -109,7 +112,6 @@ def _contractions(r_from, r_to, omega: float) -> tuple:
     transverse, radial = scale * a, scale * (a + b)
     # Columns are rows here: (3, N) vectors, so each dot product sums three
     # contiguous rows instead of reducing a last axis of length 3.
-    unit = np.ascontiguousarray(unit.T)
     derivative = None
 
     def apply(vector) -> np.ndarray:
@@ -139,6 +141,7 @@ def _contractions(r_from, r_to, omega: float) -> tuple:
 def _greens(r_from, r_to, omega) -> np.ndarray:
     """G(r_from, r_to, omega) per row; (N,) frequencies share one (3,) displacement."""
     lead, dist, unit = _displacements(r_from, r_to)
+    unit = unit.T
     phase, a, b = _shape_coefficients(omega * dist / c)
     scale = phase / (4.0 * math.pi * dist)
     uu = unit[:, :, None] * unit[:, None, :]
@@ -149,6 +152,7 @@ def _greens(r_from, r_to, omega) -> np.ndarray:
 def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
     """grad[..., k, i, j] = d G_ij / d r_from[k], assembled from _radial_coefficients."""
     lead, dist, unit = _displacements(r_from, r_to)
+    unit = unit.T
     phase, _, b, da, db = _radial_coefficients(omega * dist / c)
     s2 = phase / (4.0 * math.pi * dist * dist)
     b_over_r = phase * b / (4.0 * math.pi * dist * dist)

@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -442,6 +445,11 @@ def test_left_handed_validate_passes(tmp_path, monkeypatch):
     assert main(["validate", "--handedness", "left", "--no-timestamp"]) == 0
 
 
+def render(meta, columns, rows, fmt):
+    """The text of one table: the byte chunks that _render streams, joined."""
+    return b"".join(cli._render(meta, columns, rows, fmt)).decode("utf-8")
+
+
 # Frozen renderer output: 17-digit floats, a negative value at a zero
 # crossing, signed zero, subnormal and integer-valued cells, and metadata
 # without the generated-at line that --no-timestamp drops.
@@ -517,15 +525,15 @@ GOLDEN_VALIDATE_CSV = (
 def test_renderer_matches_frozen_bytes():
     assert "generated" not in cli._base_meta(cli.RunConfig(timestamp=False), "velocity")
     rows = np.column_stack(GOLDEN_TABLE).tolist()
-    assert cli._render(GOLDEN_META, GOLDEN_COLUMNS, rows, "csv") == GOLDEN_CSV
-    assert cli._render(GOLDEN_META, GOLDEN_COLUMNS, rows, "json") == GOLDEN_JSON
+    assert render(GOLDEN_META, GOLDEN_COLUMNS, rows, "csv") == GOLDEN_CSV
+    assert render(GOLDEN_META, GOLDEN_COLUMNS, rows, "json") == GOLDEN_JSON
     checks = [
         ["bracket-identity", True, 0.0, 1e-12, "f3 vs shape, on a grid"],
         ["x", False, 2.5e-06, 1e-08, ""],
     ]
     columns = ["name", "passed", "achieved_error", "tolerance", "detail"]
     meta = {"verb": "validate", "all_passed": False}
-    rendered = cli._render(meta, columns, checks, "csv")
+    rendered = render(meta, columns, checks, "csv")
     assert rendered == GOLDEN_VALIDATE_CSV
 
 
@@ -551,7 +559,7 @@ def test_json_rows_are_the_bytes_of_json_dumps():
             indent=2,
             sort_keys=True,
         )
-        assert cli._render(meta, columns, rows, "json") == expected + "\n"
+        assert render(meta, columns, rows, "json") == expected + "\n"
 
 
 AWKWARD_CELLS = [
@@ -588,12 +596,12 @@ def test_float_array_tables_render_as_json_dumps_and_repr_rows():
             indent=2,
             sort_keys=True,
         )
-        rendered = cli._render(meta, columns, table, "json")
+        rendered = render(meta, columns, table, "json")
         assert rendered.split("\n") == (expected_json + "\n").split("\n")
         expected_csv = [f"# {key} = {meta[key]}" for key in sorted(meta)]
         expected_csv.append(",".join(columns))
         expected_csv.extend(",".join(map(repr, row)) for row in table.tolist())
-        rendered = cli._render(meta, columns, table, "csv")
+        rendered = render(meta, columns, table, "csv")
         assert rendered.split("\n") == expected_csv + [""]
 
 
@@ -624,28 +632,31 @@ def test_float_tables_render_as_json_dumps_and_repr_rows(table):
         indent=2,
         sort_keys=True,
     )
-    assert cli._render(meta, columns, np.array(table), "json") == expected_json + "\n"
+    assert render(meta, columns, np.array(table), "json") == expected_json + "\n"
     expected_csv = ["# verb = property", ",".join(columns)]
     expected_csv.extend(",".join(map(repr, row)) for row in table)
-    assert cli._render(meta, columns, np.array(table), "csv").split("\n") == expected_csv + [""]
+    assert render(meta, columns, np.array(table), "csv").split("\n") == expected_csv + [""]
 
 
 def test_numeric_tables_have_one_marker_byte_per_column():
-    # Markers run from 0x80 to 0xff: 128 columns fit, a 129th would wrap
-    # into ASCII, so it is refused.
+    # JSON markers run from 0x80 to 0xff: 128 columns fit, a 129th would
+    # wrap into ASCII, so it is refused, in either format.
     table = np.arange(256.0).reshape(2, 128) * 1e-3
     columns = [f"c{i}" for i in range(128)]
-    rendered = cli._render({"verb": "wide"}, columns, table, "csv")
+    rendered = render({"verb": "wide"}, columns, table, "csv")
     assert rendered.split("\n")[-3:] == [",".join(map(repr, row)) for row in table.tolist()] + [""]
-    with pytest.raises(ValueError, match="at most 128 columns"):
-        cli._render({"verb": "wide"}, columns + ["c128"], np.ones((2, 129)), "csv")
+    rows = json.loads(render({"verb": "wide"}, columns, table, "json"))["rows"]
+    assert rows == [dict(zip(columns, row)) for row in table.tolist()]
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="at most 128 columns"):
+            render({"verb": "wide"}, columns + ["c128"], np.ones((2, 129)), fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_numeric_tables_repr_only_the_positional_cells(monkeypatch, fmt):
-    # Only the cells in [1e-5, 1e-4), which orjson writes as 0.0000..., go
-    # through repr; every other cell takes orjson's respelled text.
-    table = np.array([[3.5e-05, 1e-20, 0.5], [1e-4, -1.5e-05, 7e-08]])
+    # No cell goes through repr: the cells in [1e-5, 1e-4), which orjson
+    # writes as 0.0000..., are respelled on the bytes like the exponents.
+    table = np.array([[3.5e-05, 1e-20, 0.5], [1e-4, -1.5e-05, 7e-08], [1e-05, 9.999e-05, -2e-05]])
     calls = []
 
     def counted_repr(value):
@@ -653,9 +664,103 @@ def test_numeric_tables_repr_only_the_positional_cells(monkeypatch, fmt):
         return repr(value)
 
     monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
-    rendered = cli._render({"verb": "probe"}, ["a", "b", "c"], table, fmt)
-    assert sorted(calls) == [-1.5e-05, 3.5e-05]
-    assert "3.5e-05" in rendered and "-1.5e-05" in rendered and "7e-08" in rendered
+    rendered = render({"verb": "probe"}, ["a", "b", "c"], table, fmt)
+    assert calls == []
+    for text in ("3.5e-05", "-1.5e-05", "7e-08", "1e-05", "9.999e-05", "-2e-05", "0.0001"):
+        assert text in rendered
+
+
+# Cells of the awkward kinds, positional ones between them, for the rows at
+# the edges of the streamed blocks.
+_EDGE_CELLS = [
+    cell for pair in zip(
+        [3.5e-05, -1.5e-05, 9.999e-05, 1e-05, -2e-05, math.nextafter(1e-4, 0.0), 1.25e-05],
+        [-0.0, 5e-324, 1e16, 1e-06, -7e-08, 0.1 + 0.2, -1e16],
+    ) for cell in pair
+]
+
+
+@pytest.mark.parametrize("rows, k", [(2047, 3), (2048, 3), (2049, 6), (4097, 3), (4097, 1)])
+def test_tables_across_block_boundaries_render_as_json_dumps_and_repr_rows(rows, k):
+    # The first and last row of every block hold positional and awkward
+    # cells, so each respelling meets the seams between blocks.
+    block = cli._BLOCK_ROWS
+    rng = np.random.default_rng(rows + k)
+    table = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-300, 301, (rows, k))
+    edges = sorted({i for start in range(0, rows, block)
+                    for i in (start, min(start + block, rows) - 1)})
+    for n, i in enumerate(edges):
+        table[i] = np.roll(_EDGE_CELLS, -n * k)[:k]
+    columns = PROPERTY_COLUMNS[:k]
+    meta = {"verb": "blocks"}
+    expected_json = json.dumps(
+        {"meta": meta, "rows": [dict(zip(columns, row)) for row in table.tolist()]},
+        indent=2,
+        sort_keys=True,
+    )
+    assert render(meta, columns, table, "json").split("\n") == (expected_json + "\n").split("\n")
+    expected_csv = ["# verb = blocks", ",".join(columns)]
+    expected_csv.extend(",".join(map(repr, row)) for row in table.tolist())
+    assert render(meta, columns, table, "csv").split("\n") == expected_csv + [""]
+
+
+def test_sweep_size_table_is_streamed_in_blocks(tmp_path, monkeypatch):
+    # A warm 16,000-row JSON velocity table: a whole-table text is about
+    # 1.5 MB per copy, and the one-string writer kept several alive (7.7 MB
+    # peak); one block's bytes are about 0.2 MB.
+    monkeypatch.chdir(tmp_path)
+    args = ["velocity", "--points", "16000", "--log-scale", "--format", "json", "--no-timestamp"]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_block_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_bytes(b"old table\n")
+    float_body, calls = cli._float_body, []
+
+    def second_block_fails(table, separators):
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return float_body(table, separators)
+
+    monkeypatch.setattr(cli, "_float_body", second_block_fails)
+    args = ["velocity", "--points", str(2 * cli._BLOCK_ROWS + 1), "--format", fmt, "--output", "out"]
+    assert main(args) == 2
+    assert calls == [cli._BLOCK_ROWS] * 2
+    assert "no space left on device" in capsys.readouterr().err
+    assert (tmp_path / "out").read_bytes() == b"old table\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_tables_get_the_mode_of_a_newly_opened_file(tmp_path, monkeypatch, umask, mode):
+    # The temp file behind each table is made 0600; the table gets what
+    # open(path, "w") gives a new file, also over an existing 0600 table.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.csv").write_bytes(b"old table\n")
+    os.chmod(tmp_path / "old.csv", 0o600)
+    previous = os.umask(umask)
+    try:
+        with open("plain.txt", "w", encoding="utf-8"):
+            pass
+        assert main(["velocity", "--points", "3", "--output", "new.csv"]) == 0
+        assert main(["velocity", "--points", "3", "--format", "json", "--output", "old.csv"]) == 0
+        assert main(["validate", "--output", "report.json", "--format", "json"]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("plain.txt", "new.csv", "old.csv", "report.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
 
 
 def test_orjson_loads_with_the_first_table_not_with_the_cli(tmp_path):
