@@ -14,16 +14,19 @@ the metadata timestamp is suppressed by --no-timestamp for that purpose.
 The three numeric verbs build their table as one float64 array and
 stream it to the file as bytes, in blocks of 2048 rows: per block, one
 orjson pass, whose shortest round-trip digits are repr's, respelled on
-the bytes to repr's form (the exponents, and the cells in [1e-5, 1e-4)
-that orjson writes positionally).  CSV's single-byte separators go
-straight onto orjson's commas; each of JSON's longer ones goes in through
-a marker byte naming its column (0x80 and up, so it cannot clash with
-orjson's ASCII float text) and one bytes.replace.  No string is made per
-cell and no body is decoded to str.  That text is also the JSON
-encoder's for a finite float.  Every table goes to a temp file renamed
-into place, with the mode that open() gives a new file.  A table with a
-non-finite cell is not written: the run stops with one error line naming
-the column and the separation.
+the bytes to repr's form.  Each cell's value says what its respelling is
+(a '+' before the exponent from 1e16 up, a '0' before a one-digit
+exponent in [1e-9, 1e-5), and the exponent form of the cells in
+[1e-5, 1e-4) that orjson writes positionally), and one scan for commas
+says where.  CSV's single-byte separators go straight onto orjson's
+commas; each of JSON's longer ones goes in through a marker byte naming
+its column (0x80 and up, so it cannot clash with orjson's ASCII float
+text) and one bytes.replace.  No string is made per cell and no body is
+decoded to str.  That text is also the JSON encoder's for a finite
+float.  Every table goes to a temp file renamed into place, with the
+mode that open() gives a new file.  A table with a non-finite cell is
+not written: the run stops with one error line naming the column and the
+separation.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
@@ -293,54 +296,53 @@ def _float_body(table: np.ndarray, separators: typing.Sequence[str]) -> bytes:
     ``separators[j]`` follows each cell of column j: the last one is the
     row break, and none follows the table's last cell.  orjson writes the
     same shortest round-trip digits as repr in one pass over the flattened
-    cells; only the spelling differs, and it is mended on the bytes.  repr
-    writes 1e+16 and 1e-07 where orjson writes 1e16 and 1e-7, so a '+' and
-    a '0' are inserted.  repr switches to an exponent below 1e-4 where
-    orjson stays positional down to 1e-5: 0.0000 and the digits d1..dn
-    become d1.d2..dn (d1 for one digit) and e-05 in place, and the bytes
-    left over are dropped.  A single-byte separator goes straight onto its
-    comma.  The comma after a cell of column j with a longer separator
-    becomes the marker byte 0x80 + j, which cannot clash with orjson's
-    ASCII float text, and one bytes.replace per marker puts the separator
-    in.  No Python object is made per cell.
+    cells, and each cell's value says how its spelling differs (a double's
+    shortest digits lie on the side of a power of ten that it does).  From
+    1e16 up a '+' goes before the 2 exponent digits (3 from 1e100): 1e16 ->
+    1e+16.  In [1e-9, 1e-5) a '0' goes before the one exponent digit: 1e-7
+    -> 1e-07.  In [1e-5, 1e-4), where orjson stays positional, 0.0000 and
+    the digits d1..dn become d1.d2..dn (d1 for one digit) in place, e-05
+    goes in at the end, and the bytes left over are dropped.  One comma
+    scan gives each cell's end, the inserts' places follow from it, and so
+    do the commas' after a cumsum of the inserts.  A single-byte separator
+    goes straight onto its comma; the comma after a cell of column j with a
+    longer separator becomes the marker byte 0x80 + j, which cannot clash
+    with orjson's ASCII float text, and one bytes.replace per marker puts
+    the separator in.  No Python object is made per cell.
     """
     import orjson  # paid by the first table written, not by importing the CLI
 
     values = table.ravel()
     text = np.frombuffer(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
-    exponent = np.flatnonzero(text == ord("e")) + 1
-    negative = text[exponent] == ord("-")
-    first = exponent + negative  # the exponent's first digit
-    after = text[first + 1]
-    single = (after < ord("0")) | (after > ord("9"))
-    # '+' goes before a positive exponent, '0' before a one-digit one; at
-    # one index (1e+07) the '+' is listed first, and np.insert keeps order.
-    at = [exponent[~negative], first[single]]
-    fill = [np.repeat(np.frombuffer(b"+0", np.uint8),
-                      (np.count_nonzero(~negative), np.count_nonzero(single)))]
+    # Cell i runs from after bounds[i], a comma or the '[' opening the text,
+    # to end[i], a comma or the closing ']'.
+    bounds = np.concatenate(([0], np.flatnonzero(text == ord(",")), [len(text) - 1]))
+    end = bounds[1:]
     magnitude = np.abs(values)
-    positional = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4))
+    big = magnitude >= 1e16
+    small = (magnitude >= 1e-9) & (magnitude < 1e-5)
+    in_range = (magnitude >= 1e-5) & (magnitude < 1e-4)
+    positional = np.flatnonzero(in_range)
+    shift = np.cumsum(np.where(in_range, 4, big | small))  # bytes inserted up to each end
+    at = (end[big] - 2 - (magnitude[big] >= 1e100), end[small] - 1, np.repeat(end[positional], 4))
+    fill = (np.repeat(np.frombuffer(b"+0", np.uint8), (len(at[0]), len(at[1]))),
+            np.tile(np.frombuffer(b"e-05", np.uint8), len(positional)))
+    text = np.insert(text, np.concatenate(at), np.concatenate(fill))
     if len(positional):
-        text = text.copy()
-        # Cell i runs from its '0' (after a '-' if negative) to the comma or
-        # ']' at its end; '[' opens the text.
-        commas = np.flatnonzero(text == ord(","))
-        start = np.concatenate(([0], commas))[positional] + 1 + (values[positional] < 0)
-        end = np.append(commas, len(text) - 1)[positional]
-        # 0.0000d1d2..dn -> five dropped bytes, d1, '.' (dropped for one digit)
-        # and d2..dn in place; e-05 is inserted at the end.
+        # From its '0' (after a '-'), moved by the inserts before its own four.
+        start = bounds[positional] + 1 + (values[positional] < 0)
+        digits = end[positional] - start > 7  # two or more
+        start += shift[positional] - 4
         text[start + 5] = text[start + 6]
-        text[start + 6] = np.where(end - start > 7, ord("."), _DROP)
+        text[start + 6] = np.where(digits, ord("."), _DROP)
         text[start[:, None] + np.arange(5)] = _DROP
-        at.append(np.repeat(end, 4))
-        fill.append(np.tile(np.frombuffer(b"e-05", np.uint8), len(positional)))
-    text = np.insert(text, np.concatenate(at), np.concatenate(fill))[1:-1]
-    commas = np.flatnonzero(text == ord(","))
+    # Each cell's comma after the inserts; the last cell's is the ']' cut off.
+    cut = end + shift
     k = table.shape[1]
     for j, separator in enumerate(separators):
         if separator != ",":
-            text[commas[j::k]] = ord(separator) if len(separator) == 1 else 0x80 + j
-    body = text.tobytes()
+            text[cut[j::k]] = ord(separator) if len(separator) == 1 else 0x80 + j
+    body = text[1:-1].tobytes()
     if len(positional):
         body = body.replace(bytes((_DROP,)), b"")
     for j, separator in enumerate(separators):

@@ -52,6 +52,13 @@ RUBIDIUM_RESONANCE_WAVELENGTH = 780.241e-9
 # forms hold for a finite, positive d, alpha_B, omega, r and xi = omega r / c;
 # a nan or inf let through would come back as nan results or numpy warnings.
 
+# x^4 overflows from the fourth root of the largest float up: xi^4 in the
+# shape, omega^4 in the coupling.
+_FOURTH_POWER_LIMIT = float(np.finfo(float).max) ** 0.25
+# (c/omega)^2 overflows from omega = c over the square root of the largest
+# float down (about 2.2e-146 rad/s).
+_OMEGA_FLOOR = c / math.sqrt(float(np.finfo(float).max))
+
 
 def _require_positive(name: str, value, low: float = 0.0, high: float = math.inf) -> None:
     """Raise ValueError naming ``name`` unless value is finite and positive.

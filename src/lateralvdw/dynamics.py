@@ -91,14 +91,25 @@ def steady_state_population(
     is checked on every call and the lower bound 5 Gamma <= Omega when
     ``gamma_total`` is supplied; a violation produces a warning, not an
     error.  A drive with Omega > 2 |Delta| would give p1 > 1; it is clamped
-    to 1, with that warning alone.
+    to 1, with that warning alone.  The clamp comes before any square can
+    overflow or underflow: from Omega > 4 |Delta| on no square is taken.
+    Below that, Omega and |Delta| outside [2^-511, 2^509], where a square
+    would leave the normal floats, are first scaled by the power of two
+    that brings |Delta| into [0.5, 1).
     """
     if drive.detuning == 0.0:
         raise ValueError("steady-state population requires a nonzero detuning")
-    p1 = drive.rabi**2 / (4.0 * drive.detuning**2)
+    rabi, detuning = drive.rabi, abs(drive.detuning)
+    p1 = math.inf
+    if rabi <= 4.0 * detuning:
+        if not (2.0**-511 <= min(rabi, detuning) and detuning <= 2.0**509):
+            scale = -math.frexp(detuning)[1]
+            rabi, detuning = math.ldexp(rabi, scale), math.ldexp(detuning, scale)
+        p1 = rabi**2 / (4.0 * detuning**2)
     if p1 > 1.0:
         warnings.warn(
-            f"Omega^2 / (4 Delta^2) = {p1!r} exceeds 1; the population is clamped to 1",
+            f"Omega^2 / (4 Delta^2) exceeds 1 at Omega = {drive.rabi!r}, Delta = "
+            f"{drive.detuning!r}; the population is clamped to 1",
             stacklevel=2,
         )
         return 1.0

@@ -18,6 +18,7 @@ import numpy as np
 from .constants import (
     RUBIDIUM_MASS,
     RUBIDIUM_RESONANCE_WAVELENGTH,
+    _FOURTH_POWER_LIMIT,
     _require_positive,
     angular_frequency,
     c,
@@ -64,9 +65,6 @@ _SHAPE_SERIES = (
 )
 # Below the switch the closed form loses ~eps/xi^4 to cancellation.
 _SHAPE_SERIES_SWITCH = 0.6
-# x^4 overflows from the fourth root of the largest float up: xi^4 in the
-# shape, omega^4 in the coupling.
-_FOURTH_POWER_LIMIT = float(np.finfo(float).max) ** 0.25
 
 
 def lateral_force_shape(xi: float | np.ndarray) -> float | np.ndarray:

@@ -47,6 +47,8 @@ __all__ = [
     "integrate_angle",
 ]
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class QuadratureConfig:
@@ -58,7 +60,9 @@ class QuadratureConfig:
     def __post_init__(self):
         # Each bound also rejects nan and inf: a nan tolerance never stops a
         # rule and an infinite cutoff turns the evanescent range into nan.
-        _require_positive("rel_tol", self.rel_tol)
+        # No float64 sum meets a relative tolerance below one ulp, eps.
+        if not _EPS <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and at least {_EPS!r}, got {self.rel_tol}")
         if not 0.0 <= self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be finite and nonnegative, got {self.abs_tol}")
         _require_count("max_subdivisions", self.max_subdivisions, 1)
@@ -111,7 +115,6 @@ _GAUSS[11:20:2] = _WG[::-1]
 # Most panels bisected in one round, as in scipy.integrate.quad_vec.
 _MAX_SPLIT = 128
 
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 

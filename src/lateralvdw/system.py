@@ -19,6 +19,7 @@ from .constants import (
     CESIUM_MASS,
     CESIUM_WAVELENGTH,
     RUBIDIUM_POLARIZABILITY,
+    _OMEGA_FLOOR,
     _require_positive,
     angular_frequency,
     c,
@@ -101,7 +102,7 @@ class TwoAtomSystem:
         self.dipole_a = np.asarray(self.dipole_a, dtype=complex)
         if self.dipole_a.shape != (3,):
             raise ValueError("dipole_a must be a 3-vector")
-        _require_positive("omega_a", self.omega_a)
+        _require_positive("omega_a", self.omega_a, low=_OMEGA_FLOOR)
         separation = np.asarray(self.separation, dtype=float)
         if separation.ndim > 1:
             raise ValueError("separation must be a float or a 1-D array")

@@ -299,6 +299,14 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         (["force-curve"], "wavelength = 1e-70\n"),
         (["validate"], "wavelength = 1e-70\n"),
         (["velocity"], "wavelength = 1e-70\nrabi = 2e7\ndetuning = 1e9\n"),
+        # (c/omega)^2 overflows: omega = 1.05e-299 lies below the 2.2e-146 floor.
+        (["force-curve"], "wavelength = 1.7976931348623157e308\n"),
+        (["velocity"], "wavelength = 1.7976931348623157e308\n"),
+        (["validate"], "wavelength = 1.7976931348623157e308\n"),
+        (["emission-spectrum"], "wavelength = 1.7976931348623157e308\n"),
+        # A relative tolerance below eps: no float64 sum can meet it.
+        (["validate"], "quad_rel_tol = 1e-140\n"),
+        (["validate"], "quad_rel_tol = 3e-17\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(
@@ -312,7 +320,8 @@ def test_non_finite_and_out_of_range_settings_exit_two(
         warnings.simplefilter("error")
         assert main(args + ["--output", "out.csv"]) == 2
     assert not (tmp_path / "out.csv").exists()
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_validate_checks_the_configured_system(tmp_path, monkeypatch):
@@ -409,6 +418,31 @@ def test_clamped_population_warning_goes_to_stderr(tmp_path, monkeypatch, capsys
     assert "clamped to 1" in err[0]
     assert main(base + ["--p1", "1.0", "--output", "plain.csv"]) == 0
     assert (tmp_path / "drive.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["force-curve", "velocity"])
+@pytest.mark.parametrize(
+    "config_text, p1, message",
+    [
+        # Omega^2 overflows; 4 Delta^2 underflows; both underflow.
+        ("rabi_over_detuning = 1e200\n", "1.0", "clamped to 1"),
+        ("rabi = 1e-28\ndetuning = 1e-300\n", "1.0", "clamped to 1"),
+        ("rabi = 1e-300\ndetuning = 1e-300\n", "0.25", "weak-excitation regime"),
+    ],
+)
+def test_extreme_drives_reach_the_clamp_rule(tmp_path, monkeypatch, capsys, verb, config_text,
+                                             p1, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_text)
+    args = [verb, "--points", "5", "--config", "run.cfg", "--no-timestamp", "--output", "out.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and message in err[0]
+    assert "inf" not in err[0] and "nan" not in err[0]
+    meta, _, _ = read_table(tmp_path / "out.csv")
+    assert meta["p1"] == p1
 
 
 def test_cached_parser_gives_the_bytes_of_fresh_ones(tmp_path, monkeypatch):
@@ -567,6 +601,10 @@ AWKWARD_CELLS = [
     # orjson writes [1e-5, 1e-4) positionally and one-digit exponents unpadded.
     3.5e-05, -3.5e-05, 1e-05, math.nextafter(1e-05, 0.0), 10.00001,
     2e-05, 1e-06, 2.5e-07, -7e-08, 1.25e-09, -1e16, 1.5e300,
+    # The edges of the one-digit exponents and of the three-digit ones:
+    # 9.999999999999999e-10 and 9.999999999999999e+99 below them.
+    1e-09, -1e-09, math.nextafter(1e-09, 0.0), -math.nextafter(1e-09, 0.0),
+    1e100, -1e100, math.nextafter(1e100, 0.0), -math.nextafter(1e100, 0.0),
 ]
 
 
@@ -583,8 +621,8 @@ def test_float_array_tables_render_as_json_dumps_and_repr_rows():
     # The orjson-based writer against the encoder and against a per-row join
     # of repr, on awkward cells (signed zero, the smallest subnormal, both
     # sides of repr's switch to exponent notation at 1e16 and 1e-4, orjson's
-    # positional range down to 1e-5, one-digit exponents, 0.1 + 0.2) and
-    # exponents over +-300.  Lines are compared as lists so that a failure
+    # positional range down to 1e-5, one-digit exponents down to 1e-9,
+    # three-digit ones from 1e100, 0.1 + 0.2) and exponents over +-300.  Lines are compared as lists so that a failure
     # reports the first differing line.
     names = ["r", "F_x", "v", "xi", "F_z_A", "phi", "R"]
     names += [f"c{i}" for i in range(len(AWKWARD_CELLS))]
@@ -674,8 +712,11 @@ def test_numeric_tables_repr_only_the_positional_cells(monkeypatch, fmt):
 # the edges of the streamed blocks.
 _EDGE_CELLS = [
     cell for pair in zip(
-        [3.5e-05, -1.5e-05, 9.999e-05, 1e-05, -2e-05, math.nextafter(1e-4, 0.0), 1.25e-05],
-        [-0.0, 5e-324, 1e16, 1e-06, -7e-08, 0.1 + 0.2, -1e16],
+        [3.5e-05, -1.5e-05, 9.999e-05, 1e-05, -2e-05, math.nextafter(1e-4, 0.0), 1.25e-05,
+         4.2e-05, -6.25e-05, 1.000001e-05, -8e-05, 5.5e-05, -3e-05, 7.77e-05, -9.5e-05],
+        [-0.0, 5e-324, 1e16, 1e-06, -7e-08, 0.1 + 0.2, -1e16,
+         1e-09, -1e-09, math.nextafter(1e-09, 0.0), -math.nextafter(1e-09, 0.0),
+         1e100, -1e100, math.nextafter(1e100, 0.0), -math.nextafter(1e100, 0.0)],
     ) for cell in pair
 ]
 

@@ -111,6 +111,38 @@ def test_steady_state_population_saturates_at_unity():
         assert steady_state_population(strong) == 1.0
 
 
+@pytest.mark.parametrize(
+    "rabi, detuning, p1",
+    [(1e200, 1.0, 1.0), (1e-28, 1e-300, 1.0), (1e-300, 1e-300, 0.25), (1e-300, -2e-300, 0.0625)],
+)
+def test_steady_state_population_outside_the_squares_range(rabi, detuning, p1):
+    # Omega^2 overflows, 4 Delta^2 underflows to 0, or both square to 0; the
+    # clamp rule decides first, and its warning names finite numbers only.
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert steady_state_population(DrivingParams(rabi, detuning, 1.0)) == p1
+    clamped = [str(w.message) for w in caught if "clamped to 1" in str(w.message)]
+    assert len(clamped) == (p1 == 1.0)
+    assert all("inf" not in text and "nan" not in text for text in clamped)
+
+
+def test_steady_state_population_keeps_the_bits_of_the_plain_quotient():
+    # Where both squares are normal floats, p1 is Omega^2 / (4 Delta^2) as written.
+    import warnings
+
+    rng = np.random.default_rng(9)
+    detunings = 10.0 ** rng.uniform(-150.0, 150.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    rabis = np.abs(detunings) * 10.0 ** rng.uniform(-6.0, 0.3, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the regime warning, for the stronger drives
+        for rabi, detuning in zip(rabis.tolist(), detunings.tolist()):
+            expected = rabi**2 / (4.0 * detuning**2)
+            drive = DrivingParams(rabi=rabi, detuning=detuning, duration=1.0)
+            assert steady_state_population(drive) == min(expected, 1.0)
+
+
 def test_steady_state_population_rejects_resonant_drive():
     with pytest.raises(ValueError):
         steady_state_population(DrivingParams(rabi=1e8, detuning=0.0, duration=1.0))

@@ -210,6 +210,15 @@ def test_config_rejects_non_finite_and_non_integer_settings(field, value):
         QuadratureConfig(**{field: value})
 
 
+def test_config_rel_tol_has_a_floor_of_eps():
+    # No float64 sum meets a relative tolerance below one ulp.
+    eps = np.finfo(float).eps
+    assert QuadratureConfig(rel_tol=eps).rel_tol == eps
+    for rel_tol in (math.nextafter(eps, 0.0), 3e-17, 1e-140):
+        with pytest.raises(ValueError, match="rel_tol must be finite and at least"):
+            QuadratureConfig(rel_tol=rel_tol)
+
+
 def test_config_accepts_numpy_integer_subdivisions():
     assert QuadratureConfig(max_subdivisions=np.int64(50)).max_subdivisions == 50
 
