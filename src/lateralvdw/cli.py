@@ -26,12 +26,13 @@ decoded to str.  That text is also the JSON encoder's for a finite
 float.  Every table goes to a temp file renamed into place, with the
 mode that open() gives a new file.  A table with a non-finite cell is
 not written: the run stops with one error line naming the column and the
-separation.
+separation, or for validate the identity.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
 Exit status: 0 on success, 1 when the validate verb finds a failing
-identity, 2 on configuration or usage errors and on a non-finite result.
+identity, 2 on configuration or usage errors, on a non-finite result and
+on a validate quadrature that does not converge.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import QuadratureConvergenceError, __version__
 from .constants import (
     CESIUM_DIPOLE,
     CESIUM_MASS,
@@ -131,7 +132,7 @@ _FIELD_PARSERS = {
 def parse_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file.
 
-    Blank lines and lines starting with '#' are ignored.  Keys must be
+    Blank lines and whole-line '#' comments are ignored.  Keys must be
     known RunConfig fields; values are parsed per field type.
     """
     try:
@@ -246,22 +247,14 @@ def _sweep(config: RunConfig) -> np.ndarray:
 
 def _pyval(value):
     """Collapse numpy scalars so repr/json render plain Python numbers."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _format_value(value) -> str:
     value = _pyval(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def _base_meta(config: RunConfig, verb: str) -> dict:
@@ -481,9 +474,16 @@ def cmd_validate(config: RunConfig) -> tuple[dict, list]:
     quad = replace(
         _IDENTITY_QUADRATURE, **{k: v for k, v in tolerances.items() if v is not None}
     )
-    checks = run_identity_checks(
-        _system_at(config, config.r), config=quad, f3_scale=config.f3_scale
-    )
+    system = _system_at(config, config.r)
+    try:
+        checks = run_identity_checks(system, config=quad, f3_scale=config.f3_scale)
+    except QuadratureConvergenceError as exc:
+        where = f"wavelength = {config.wavelength!r}, r = {config.r!r}, xi = {system.xi!r}"
+        raise ValueError(f"identity quadrature at {where}: {exc}") from exc
+    for check in checks:  # each tolerance is a finite constant; an error can overflow
+        if not np.isfinite(check.achieved_error):
+            cell = f"achieved_error is {check.achieved_error!r} in the {check.name} row"
+            raise ValueError(f"{cell} at r = {config.r!r}; no table written")
     for check in checks:
         status = "pass" if check.passed else "FAIL"
         print(

@@ -285,6 +285,7 @@ def assisted_rate_correction_quadrature(
 
 def emission_spectrum(system: TwoAtomSystem, n_phi: int) -> EmissionSpectrum:
     """Closed-form recoil spectrum sampled on n_phi equispaced azimuths."""
+    _require_float_separation(system, "emission_spectrum")
     phis = _azimuths(n_phi)
     _, hand = system.circular_parameters()
     coefficients = spectrum_coefficients(system.xi)

@@ -26,7 +26,7 @@ from .constants import (
     mu_0,
 )
 from .greens import _contractions, _displacements, _radial_coefficients
-from .quadrature import QuadratureConfig, _qag
+from .quadrature import _TAIL_EFOLDS, QuadratureConfig, _qag
 from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
@@ -260,7 +260,7 @@ def nonresonant_force(
         alpha_b = alpha_b_static * omega_b**2 / (omega_b**2 + zeta**2)
         return contraction(zeta, zeta**4 * kappa_a * alpha_b)
 
-    zeta_max = _NONRESONANT_QUADRATURE.tail_cutoff_decades * c / (2.0 * system.separation)
+    zeta_max = _TAIL_EFOLDS * c / (2.0 * system.separation)
     return hbar * mu_0**2 / math.pi * _qag(integrand, 0.0, zeta_max, _NONRESONANT_QUADRATURE)
 
 

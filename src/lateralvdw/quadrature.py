@@ -4,25 +4,25 @@ The k-parallel axis splits at the light line k = omega/c.  On the
 propagating side the substitution k_par = (omega/c) sin(theta) removes the
 1/k_perp endpoint singularity exactly; on the evanescent side
 k_par = (omega/c) cosh(u) does the same and the integral is truncated once
-exp(-kappa r) has fallen by a configurable number of e-folds.  Azimuthal
-integrals of smooth periodic integrands use the trapezoid rule with
-interval doubling, which converges spectrally; successive refinements act
-as the error estimate.
+exp(-kappa r) has fallen by 40 e-folds.  Azimuthal integrals of smooth
+periodic integrands use the trapezoid rule with interval doubling, which
+converges spectrally; successive refinements act as the error estimate.
 
 The k_par integrals run QUADPACK's globally adaptive QAG scheme with the
 G10/K21 pair (Piessens et al., QUADPACK, Springer 1983): each round bisects
 the panels with the largest error estimates and evaluates all of their
 nodes in one integrand call.  One panel never stops the rule, so the
 first call already holds [a, b] and both of its halves (63 nodes), and the
-second round takes the halves from it.  A non-finite integral or error
-estimate raises QuadratureConvergenceError.
+second round takes the halves from it; 200 panels stop it.  A non-finite
+integral or error estimate raises QuadratureConvergenceError.
 
-Everything here is generic plumbing; the physics lives in the integrands
-the callers pass in.  The k_par integrands take (k_par, k_perp) as (N,)
-arrays with the branch Im k_perp >= 0 already resolved, and return values
-with a leading axis over the N nodes, (N,) or (N, ...).  The azimuth
-integrand takes the (P,) azimuths of one refinement level and returns the
-sum of its values over them.
+Everything here is generic plumbing, set only by the two tolerances of a
+frozen QuadratureConfig; the physics lives in the integrands the callers
+pass in.  The k_par integrands take (k_par, k_perp) as (N,) arrays with
+the branch Im k_perp >= 0 already resolved, and return values with a
+leading axis over the N nodes, (N,) or (N, ...).  The azimuth integrand
+takes the (P,) azimuths of one refinement level and returns the sum of
+its values over them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 # "import lateralvdw"`` and raises KeyError if the package stops loading it.
 import scipy.integrate  # noqa: F401
 
-from .constants import _require_count, _require_positive, c
+from .constants import _require_positive, c
 
 __all__ = [
     "QuadratureConfig",
@@ -50,23 +50,18 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-    tail_cutoff_decades: float = 40.0
 
     def __post_init__(self):
         # Each bound also rejects nan and inf: a nan tolerance never stops a
-        # rule and an infinite cutoff turns the evanescent range into nan.
-        # No float64 sum meets a relative tolerance below one ulp, eps.
+        # rule.  No float64 sum meets a relative tolerance below one ulp, eps.
         if not _EPS <= self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and at least {_EPS!r}, got {self.rel_tol}")
         if not 0.0 <= self.abs_tol < math.inf:
             raise ValueError(f"abs_tol must be finite and nonnegative, got {self.abs_tol}")
-        _require_count("max_subdivisions", self.max_subdivisions, 1)
-        _require_positive("tail_cutoff_decades", self.tail_cutoff_decades)
 
 
 _DEFAULT = QuadratureConfig()
@@ -114,6 +109,8 @@ _GAUSS[11:20:2] = _WG[::-1]
 
 # Most panels bisected in one round, as in scipy.integrate.quad_vec.
 _MAX_SPLIT = 128
+_MAX_PANELS = 200  # the panel count that stops the rule
+_TAIL_EFOLDS = 40.0  # e-folds of the exp(-kappa r) tail kept on the evanescent and zeta axes
 
 _TINY = np.finfo(float).tiny
 
@@ -171,12 +168,11 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
     choice and stopping follow scipy.integrate.quad_vec with norm="max".
     A non-finite integral or error estimate raises.
     """
-    limit = max(cfg.max_subdivisions, 10)
     a, b = float(a), float(b)
     m = 0.5 * (a + b)
-    # One panel never stops the rule (that needs two) nor reaches the limit
-    # (at least 10), so [a, b] is always bisected at m: the first call
-    # evaluates [a, b] and both halves, 63 nodes.
+    # One panel never stops the rule (that needs two) nor reaches the limit,
+    # so [a, b] is always bisected at m: the first call evaluates [a, b] and
+    # both halves, 63 nodes.
     parts, errs, rounding = _gk21(g, np.array([a, a, m]), np.array([b, m, b]))
     first = errs[0] + rounding[0]
     if not math.isfinite(first):
@@ -190,7 +186,7 @@ def _qag(g, a: float, b: float, cfg: QuadratureConfig):
         tol = max(cfg.abs_tol, cfg.rel_tol * _max_abs(total))
         if error < tol / 8.0 or error < floor:
             break
-        if len(lo) >= limit or not (math.isfinite(error) and math.isfinite(floor)):
+        if len(lo) >= _MAX_PANELS or not (math.isfinite(error) and math.isfinite(floor)):
             break
         order = np.lexsort((lo, -errs))
         # Split the worst panel, then the next ones while the error already
@@ -247,7 +243,7 @@ def integrate_evanescent(f, omega: float, distance: float,
 
     ``distance`` sets the exponential scale exp(-kappa * distance) of the
     integrand tail; integration stops once kappa * distance reaches
-    ``tail_cutoff_decades`` e-folds.  Substituting k_par = (omega/c) cosh(u)
+    _TAIL_EFOLDS (40) e-folds.  Substituting k_par = (omega/c) cosh(u)
     cancels the 1/kappa branch-point singularity.  f takes the same (N,)
     arrays and returns the same shapes as in integrate_propagating.
     """
@@ -255,7 +251,7 @@ def integrate_evanescent(f, omega: float, distance: float,
     _require_positive("omega", omega)
     _require_positive("distance", distance)
     k = omega / c
-    u_max = math.asinh(cfg.tail_cutoff_decades / (k * distance))
+    u_max = math.asinh(_TAIL_EFOLDS / (k * distance))
 
     def g(u):
         kappa = k * np.sinh(u)

@@ -307,6 +307,13 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         # A relative tolerance below eps: no float64 sum can meet it.
         (["validate"], "quad_rel_tol = 1e-140\n"),
         (["validate"], "quad_rel_tol = 3e-17\n"),
+        # f3 * f3_scale overflows (nan bracket error) or the scaled force
+        # underflows to zero (infinite relative error).
+        (["validate", "--f3-scale", "1e308"], None),
+        (["validate", "--f3-scale", "5e-324"], None),
+        # The identity quadrature stalls (xi ~ 2e22) or turns non-finite (xi ~ 4e-106).
+        (["validate"], "wavelength = 1.8e-28\n"),
+        (["validate"], "wavelength = 1e100\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(

@@ -12,6 +12,7 @@ from lateralvdw import (
     TwoAtomSystem,
     assisted_decay_rate,
     assisted_rate_correction_quadrature,
+    emission_spectrum,
     greens,
     impulse_velocity_single_shot,
     lateral_force_closed_form,
@@ -509,6 +510,7 @@ _ARRAY_SYSTEM = TwoAtomSystem.cs_rb(np.array([2e-7, 3e-7]))
         ("recoil_rate_quadrature", lambda s: recoil_rate_quadrature(s, 0.3)),
         ("torque_about_com", lambda s: torque_about_com(s, 1.0)),
         ("run_identity_checks", run_identity_checks),
+        ("emission_spectrum", lambda s: emission_spectrum(s, 8)),
         ("impulse_velocity_single_shot",
          lambda s: impulse_velocity_single_shot(s, assisted_decay_rate(s))),
     ],
