@@ -33,8 +33,7 @@ from .greens import (
 from .quadrature import (
     QuadratureConfig,
     _rows_times,
-    integrate_evanescent,
-    integrate_propagating,
+    integrate_k_par,
 )
 from .specfun import bessel_j, bessel_y
 from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
@@ -225,7 +224,7 @@ def _azimuths(n_phi: int) -> np.ndarray:
 
 def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
                   config: QuadratureConfig | None):
-    """Propagating plus evanescent integral of weight(k_par) gamma(k_par, phi).
+    """Integral of weight(k_par) gamma(k_par, phi) over both sides of the light line.
 
     The weight stays inside the integrand: the absolute tolerance is sized
     for the weighted integral.  A float phi gives one value, an array one per
@@ -236,10 +235,7 @@ def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
     def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
         return _rows_times(gamma(k_par, k_perp), weight(k_par))
 
-    omega = system.omega_a
-    return integrate_propagating(integrand, omega, config) + integrate_evanescent(
-        integrand, omega, system.separation, config
-    )
+    return integrate_k_par(integrand, system.omega_a, system.separation, config)
 
 
 def _recoil_weight(k_par: np.ndarray) -> np.ndarray:

@@ -150,6 +150,13 @@ def _legs(system: TwoAtomSystem) -> tuple:
     return apply(np.conj(system.dipole_a)), apply, gradient
 
 
+# The low end of resonant_forces' xi range, open.  The gradient route's
+# coefficients grow like xi^-2 and its products like xi^-4 in SI units, and
+# one overflows from this float down: bisected over the floats of omega for
+# the default Cs-Rb dipole and polarizability at r = 1e-7 m.
+_GRADIENT_XI_LOW = 6.693987421145195e-80
+
+
 def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
     """Resonant forces on the excited atom A and on the ground-state scatterer B.
 
@@ -169,9 +176,11 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     legs row by row (greens._contractions): (d10, alpha_B G . d01) for A
     and (d10 . G*, d01) for B, negated, where d10 . G* is the conjugate of
     G . d01 for the symmetric G.  A system with N separations gives (N, 3)
-    forces and shapes.
+    forces and shapes.  xi must lie above _GRADIENT_XI_LOW (about 6.7e-80),
+    where the gradient route overflows.
     """
     _population_valid(p1)
+    _require_positive("xi", system.xi, low=_GRADIENT_XI_LOW)
     coupling = _coupling(system.omega_a)
     d10 = system.dipole_a
     leg, _, gradient = _legs(system)

@@ -18,8 +18,7 @@ from .constants import _require_finite, _require_positive, c
 from .quadrature import (
     QuadratureConfig,
     integrate_angle,
-    integrate_evanescent,
-    integrate_propagating,
+    integrate_k_par,
 )
 
 __all__ = [
@@ -268,8 +267,9 @@ def greens_free_from_modes(delta_r, omega: float,
 
     Serves as the independent numerical route against greens_free; the
     azimuthal integral runs first, for each batch of k_par nodes at once,
-    then the k_par axis is integrated separately on the propagating and
-    evanescent sides.
+    then one adaptive rule integrates the k_par axis over both sides of the
+    light line, so each round runs one azimuth integral for the new nodes
+    of both.
     """
     _require_finite("delta_r", delta_r)
     dx, dy, dz = np.asarray(delta_r, dtype=float)
@@ -282,9 +282,8 @@ def greens_free_from_modes(delta_r, omega: float,
             _mode_level_sum(dx, dy, dz, omega, k_par, k_perp), config
         )
 
-    # Both passes run over the six distinct entries: the repeated ones would
+    # The rule runs over the six distinct entries: the repeated ones would
     # change neither the sums nor the max-norm error control.
-    total = integrate_propagating(integrand, omega, config)
-    total = total + integrate_evanescent(integrand, omega, abs(dz), config)
+    total = integrate_k_par(integrand, omega, abs(dz), config)
     return total[_SYMMETRIC].reshape(3, 3)
 

@@ -11,10 +11,16 @@ converges spectrally; successive refinements act as the error estimate.
 The k_par integrals run QUADPACK's globally adaptive QAG scheme with the
 G10/K21 pair (Piessens et al., QUADPACK, Springer 1983): each round bisects
 the panels with the largest error estimates and evaluates all of their
-nodes in one integrand call.  One panel never stops the rule, so the
-first call already holds [a, b] and both of its halves (63 nodes), and the
-second round takes the halves from it; 200 panels stop it.  A non-finite
-integral or error estimate raises QuadratureConvergenceError.
+nodes in one integrand call.  integrate_k_par integrates both sides of the
+light line in one such rule.  One abscissa t covers them: the angle
+theta = t on [0, pi/2] and u = -t on [-u_max, 0], so a node's sign names
+its side.  Each side starts as one panel, bisection never crosses t = 0,
+and the error control acts on the sum of the sides.  One panel never stops
+the rule, so the first call already holds each side whole and both of its
+halves (63 nodes per side, 126 for both), and the second round takes the
+halves from it; 200 panels per side stop it.  integrate_propagating and
+integrate_evanescent are the same rule on one side.  A non-finite integral
+or error estimate raises QuadratureConvergenceError.
 
 Everything here is generic plumbing, set only by the two tolerances of a
 frozen QuadratureConfig; the physics lives in the integrands the callers
@@ -42,6 +48,7 @@ from .constants import _require_positive, c
 __all__ = [
     "QuadratureConfig",
     "QuadratureConvergenceError",
+    "integrate_k_par",
     "integrate_propagating",
     "integrate_evanescent",
     "integrate_angle",
@@ -156,37 +163,44 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return (half[:, None] * kronrod).reshape((len(lo),) + tail), err, rounding
 
 
-def _qag(g, a: float, b: float, cfg: QuadratureConfig):
+def _qag(g, a, b, cfg: QuadratureConfig):
     """Globally adaptive G10/K21 integral of a batched integrand over [a, b].
 
-    g takes an (N,) array of abscissae and returns (N,) or (N, ...) values;
-    every component shares one error control.  Each round bisects the
-    panels with the largest errors, worst first, until the error left in
-    the unsplit ones is below tol/8, and evaluates the new nodes in one call.
-    The rule stops with at least two panels and a total error below tol/8,
-    tol = max(abs_tol, rel_tol max|I|), or at the panel limit.  Panel
-    choice and stopping follow scipy.integrate.quad_vec with norm="max".
-    A non-finite integral or error estimate raises.
+    a and b are the ends of one interval, or equal-length sequences of the
+    ends of several disjoint intervals, the sides, whose integrals the rule
+    adds: each side starts as one panel, and bisection keeps every panel
+    inside its side.  g takes an (N,) array of abscissae from any sides and
+    returns (N,) or (N, ...) values; every component shares one error
+    control.  Each round bisects the panels with the largest errors, worst
+    first and on any side, until the error left in the unsplit ones is
+    below tol/8, and evaluates the new nodes in one call.  The rule stops
+    with at least two panels per side and a total error below tol/8,
+    tol = max(abs_tol, rel_tol max|I|) on the sum I, or at the panel limit
+    times the number of sides.  Panel choice and stopping follow
+    scipy.integrate.quad_vec with norm="max", which one interval reproduces
+    panel for panel.  A non-finite integral or error estimate raises.
     """
-    a, b = float(a), float(b)
-    m = 0.5 * (a + b)
+    a, b = np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()
+    sides = len(a)
+    m = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
     # One panel never stops the rule (that needs two) nor reaches the limit,
-    # so [a, b] is always bisected at m: the first call evaluates [a, b] and
-    # both halves, 63 nodes.
-    parts, errs, rounding = _gk21(g, np.array([a, a, m]), np.array([b, m, b]))
-    first = errs[0] + rounding[0]
+    # so every side [a, b] is always bisected at m: the first call evaluates
+    # each [a, b], then the halves [a, m] and then [m, b] of every side, 63
+    # nodes per side.
+    parts, errs, rounding = _gk21(g, np.array(a + a + m), np.array(b + m + b))
+    first = np.add.reduce(errs[:sides] + rounding[:sides])
     if not math.isfinite(first):
         raise QuadratureConvergenceError("adaptive integral is not finite", first)
-    lo, hi = np.array([a, m]), np.array([m, b])
-    parts, errs = parts[1:], errs[1:]
+    lo, hi = np.array(a + m), np.array(m + b)
+    parts, errs = parts[sides:], errs[sides:]
     # Like quad_vec, the rounding floor sums over every panel ever built.
-    floor = rounding[0] + np.add.reduce(rounding[1:])
+    floor = np.add.reduce(rounding[:sides]) + np.add.reduce(rounding[sides:])
     while True:
         total, error = np.add.reduce(parts), np.add.reduce(errs)
         tol = max(cfg.abs_tol, cfg.rel_tol * _max_abs(total))
         if error < tol / 8.0 or error < floor:
             break
-        if len(lo) >= _MAX_PANELS or not (math.isfinite(error) and math.isfinite(floor)):
+        if len(lo) >= _MAX_PANELS * sides or not (math.isfinite(error) and math.isfinite(floor)):
             break
         order = np.lexsort((lo, -errs))
         # Split the worst panel, then the next ones while the error already
@@ -217,6 +231,59 @@ def _rows_times(values, weights: np.ndarray) -> np.ndarray:
     return values * weights.reshape(weights.shape + (1,) * (values.ndim - 1))
 
 
+def _k_par_rule(f, k: float, sides, cfg: QuadratureConfig):
+    """Integral of f(k_par, k_perp) over the sides of the light line k_par = k.
+
+    One abscissa t serves both sides, and its sign tells them apart.  On
+    the propagating side t is the angle theta in [0, pi/2], with
+    k_par = k sin(theta) and k_perp = k cos(theta); on the evanescent side
+    it is -u for u in [0, u_max], with k_par = k cosh(u) and k_perp = i kappa,
+    kappa = k sinh(u).  The Jacobian, k_perp or kappa, multiplies f and
+    cancels its 1/k_perp branch-point singularity.  ``sides`` lists the
+    (a, b) intervals of t to integrate; a panel of the rule never leaves its
+    side, so none crosses the light line at t = 0.
+    """
+
+    def g(t):
+        u = -t
+        evanescent = t < 0.0
+        kappa = k * np.sinh(u)
+        k_perp = k * np.cos(t)
+        k_par = k * np.where(evanescent, np.cosh(u), np.sin(t))
+        values = f(k_par, np.where(evanescent, 1j * kappa, k_perp + 0j))
+        return _rows_times(values, np.where(evanescent, kappa, k_perp))
+
+    a, b = zip(*sides)
+    return _qag(g, a, b, cfg)
+
+
+# The sides of _k_par_rule as intervals of t: theta in [0, pi/2], and -u
+# for u in [0, u_max], where u_max keeps _TAIL_EFOLDS e-folds of the tail
+# exp(-kappa distance).
+_PROPAGATING = (0.0, 0.5 * math.pi)
+
+
+def _evanescent_side(k: float, distance: float) -> tuple:
+    return -math.asinh(_TAIL_EFOLDS / (k * distance)), 0.0
+
+
+def integrate_k_par(f, omega: float, distance: float, config: QuadratureConfig | None = None):
+    """Integral of f(k_par, k_perp) over k_par in [0, infinity), in one adaptive rule.
+
+    The sum of integrate_propagating and integrate_evanescent, with the
+    same substitutions and the same tail cutoff: the panels of both sides
+    share one rule, each round evaluates the new nodes of both in one call
+    of f, and the error control acts on the sum.  The first call holds
+    each side whole and both of its halves, 126 nodes.  No panel crosses
+    the light line.
+    """
+    cfg = config or _DEFAULT
+    _require_positive("omega", omega)
+    _require_positive("distance", distance)
+    k = omega / c
+    return _k_par_rule(f, k, (_PROPAGATING, _evanescent_side(k, distance)), cfg)
+
+
 def integrate_propagating(f, omega: float, config: QuadratureConfig | None = None):
     """Integral of f(k_par, k_perp) over k_par in [0, omega/c].
 
@@ -228,13 +295,7 @@ def integrate_propagating(f, omega: float, config: QuadratureConfig | None = Non
     """
     cfg = config or _DEFAULT
     _require_positive("omega", omega)
-    k = omega / c
-
-    def g(theta):
-        k_perp = k * np.cos(theta)
-        return _rows_times(f(k * np.sin(theta), k_perp + 0j), k_perp)
-
-    return _qag(g, 0.0, 0.5 * math.pi, cfg)
+    return _k_par_rule(f, omega / c, (_PROPAGATING,), cfg)
 
 
 def integrate_evanescent(f, omega: float, distance: float,
@@ -251,13 +312,7 @@ def integrate_evanescent(f, omega: float, distance: float,
     _require_positive("omega", omega)
     _require_positive("distance", distance)
     k = omega / c
-    u_max = math.asinh(_TAIL_EFOLDS / (k * distance))
-
-    def g(u):
-        kappa = k * np.sinh(u)
-        return _rows_times(f(k * np.cosh(u), 1j * kappa), kappa)
-
-    return _qag(g, 0.0, u_max, cfg)
+    return _k_par_rule(f, k, (_evanescent_side(k, distance),), cfg)
 
 
 def integrate_angle(f, config: QuadratureConfig | None = None):

@@ -339,10 +339,11 @@ def test_public_surface_matches_the_layer_modules():
     # physical constants keep their own namespace.  resonant_forces gives
     # the forces on both atoms in one call, and the one-mode scalar route,
     # the unused exponential decay and the free rate (DecayRates.gamma_free
-    # holds it) are gone.
+    # holds it) are gone.  integrate_k_par, the one rule over both sides of
+    # the light line, is the 46th.
     expected = [name for layer in _LAYERS for name in layer.__all__] + list(_CONSTANTS)
     assert sorted(lateralvdw.__all__) == sorted(expected)
-    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 45
+    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 46
     assert all(name in lateralvdw.constants.__all__ for name in _CONSTANTS)
     unresolved = sorted(name for name in lateralvdw.__all__ if not hasattr(lateralvdw, name))
     assert not unresolved, unresolved

@@ -314,6 +314,11 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         # The identity quadrature stalls (xi ~ 2e22) or turns non-finite (xi ~ 4e-106).
         (["validate"], "wavelength = 1.8e-28\n"),
         (["validate"], "wavelength = 1e100\n"),
+        # xi falls below the gradient route's range (forces._GRADIENT_XI_LOW),
+        # where it wrote a nan F_z_B or F_z_A cell.
+        (["force-curve"], "wavelength = 1e75\n"),
+        (["force-curve"], "wavelength = 1e80\n"),
+        (["force-curve"], "wavelength = 1e100\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(
@@ -329,6 +334,19 @@ def test_non_finite_and_out_of_range_settings_exit_two(
     assert not (tmp_path / "out.csv").exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("wavelength", ["1e75", "1e80", "1e100"])
+def test_force_curve_names_the_xi_range_of_the_gradient_route(
+    tmp_path, monkeypatch, capsys, wavelength
+):
+    # Below forces._GRADIENT_XI_LOW the route used to write a nan F_z cell
+    # and fail on it; the range rule now refuses xi first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"wavelength = {wavelength}\n")
+    assert main(["force-curve", "--config", "run.cfg"]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: xi must be finite and positive in the supported range (")
 
 
 def test_validate_checks_the_configured_system(tmp_path, monkeypatch):

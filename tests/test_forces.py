@@ -35,7 +35,7 @@ from lateralvdw.constants import (
     mu_0,
 )
 from lateralvdw.emission import spectrum_coefficients
-from lateralvdw.forces import _trace_gradient_imag
+from lateralvdw.forces import _GRADIENT_XI_LOW, _trace_gradient_imag
 from lateralvdw.greens import (
     _contractions,
     _greens,
@@ -185,6 +185,30 @@ def test_population_bounds_enforced():
         lateral_force_closed_form(system, -0.1)
     with pytest.raises(ValueError):
         resonant_forces(system, 1.1)
+
+
+def test_resonant_forces_reject_xi_below_the_gradient_range():
+    # _GRADIENT_XI_LOW is the last float of xi (through omega, at r = 1e-7 m)
+    # where the gradient route overflows; the next one up gives finite forces.
+    # An array of separations is refused by its first bad entry.
+    def at_omega(omega, separation=1e-7):
+        return TwoAtomSystem(
+            omega_a=omega,
+            dipole_a=np.array([1j, 0.0, 1.0]) * 1.9e-29,
+            alpha_b=RUBIDIUM_POLARIZABILITY,
+            separation=separation,
+        )
+
+    bad = at_omega(_GRADIENT_XI_LOW * c / 1e-7)
+    assert bad.xi == _GRADIENT_XI_LOW
+    with pytest.raises(ValueError, match="xi must be finite and positive in the supported range"):
+        resonant_forces(bad, 1.0)
+    good = at_omega(math.nextafter(bad.omega_a, math.inf))
+    assert good.xi > _GRADIENT_XI_LOW
+    for result in resonant_forces(good, 1.0):
+        assert np.isfinite(result.force).all()
+    with pytest.raises(ValueError, match="xi must be finite"):
+        resonant_forces(at_omega(bad.omega_a, np.array([1e-6, 1e-7])), 1.0)
 
 
 def test_shape_small_argument_expansion():

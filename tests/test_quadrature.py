@@ -23,9 +23,11 @@ from lateralvdw import (
     greens_free_from_modes,
     integrate_angle,
     integrate_evanescent,
+    integrate_k_par,
     integrate_propagating,
     nonresonant_force,
     recoil_rate_profile,
+    recoil_rate_quadrature,
 )
 from lateralvdw.constants import c
 from lateralvdw.quadrature import _GAUSS, _KRONROD, _NODES
@@ -237,17 +239,23 @@ def test_domain_errors():
 
 
 def _quad_vec_reference(g, a, b, cfg):
-    """scipy's quad_vec on the same batched integrand, one node per call."""
-    res, _ = quad_vec(
-        lambda x: np.asarray(g(np.array([x])))[0],
-        a,
-        b,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=lateralvdw.quadrature._MAX_PANELS,
-        norm="max",
-    )
-    return res
+    """scipy's quad_vec on the same batched integrand, one node per call.
+
+    A call over several sides runs quad_vec on each side and sums them.
+    """
+    total = 0.0
+    for lo, hi in zip(np.atleast_1d(a), np.atleast_1d(b)):
+        res, _ = quad_vec(
+            lambda x: np.asarray(g(np.array([x])))[0],
+            lo,
+            hi,
+            epsabs=cfg.abs_tol,
+            epsrel=cfg.rel_tol,
+            limit=lateralvdw.quadrature._MAX_PANELS,
+            norm="max",
+        )
+        total = total + res
+    return total
 
 
 @pytest.fixture
@@ -282,18 +290,74 @@ def test_kronrod_and_gauss_rules_integrate_monomials_exactly():
 @pytest.mark.parametrize("xi", [0.3, 1.0, 3.0, 10.0])
 def test_rule_matches_quad_vec_on_analytic_integrals(xi: float, reference_rule):
     r = xi
-    kernels = [
-        lambda kp, kz: kp / kz * np.exp(1j * kz * r),
-        lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r),
-        lambda kp, kz: kp**4 / kz * np.exp(1j * kz * r),
-        lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1),
-    ]
-    for f in kernels:
+    for f in _analytic_kernels(r):
         for integral in (
             lambda: integrate_propagating(f, OMEGA),
             lambda: integrate_evanescent(f, OMEGA, r),
         ):
             assert _relative_gap(integral(), reference_rule(integral)) <= 1e-13
+
+
+def _analytic_kernels(r: float) -> list:
+    return [
+        lambda kp, kz: kp / kz * np.exp(1j * kz * r),
+        lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r),
+        lambda kp, kz: kp**4 / kz * np.exp(1j * kz * r),
+        lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1),
+    ]
+
+
+@pytest.mark.parametrize("xi", [0.3, 1.0, 3.0, 10.0])
+def test_k_par_rule_is_the_sum_of_its_sides(xi: float):
+    r = xi
+    for f in _analytic_kernels(r):
+        both = integrate_k_par(f, OMEGA, r)
+        sides = integrate_propagating(f, OMEGA) + integrate_evanescent(f, OMEGA, r)
+        assert _relative_gap(both, sides) <= 1e-13
+
+
+def test_k_par_rule_keeps_every_node_on_its_side():
+    # The first call holds both sides whole and halved, 63 nodes each; in
+    # every call a real k_perp comes with k_par below omega/c and an
+    # imaginary one with k_par above it.
+    k = OMEGA / c
+    calls = []
+
+    def record(k_par, k_perp):
+        calls.append((k_par, k_perp))
+        return k_par**4 / k_perp * np.exp(1j * k_perp * 10.0)
+
+    integrate_k_par(record, OMEGA, 10.0, QuadratureConfig(rel_tol=1e-12, abs_tol=0.0))
+    assert len(calls) > 1
+    for number, (k_par, k_perp) in enumerate(calls):
+        propagating = k_perp.imag == 0.0
+        if number == 0:
+            assert len(k_par) == 126 and np.count_nonzero(propagating) == 63
+        assert np.all(k_par[propagating] < k) and np.all(k_perp.real[propagating] > 0.0)
+        assert np.all(k_par[~propagating] > k) and np.all(k_perp.real[~propagating] == 0.0)
+        assert np.all(k_perp.imag[~propagating] > 0.0)
+
+
+def test_each_k_par_route_runs_one_adaptive_rule(monkeypatch):
+    system = TwoAtomSystem.cs_rb(4.66 * CESIUM_WAVELENGTH / (2.0 * math.pi))
+    delta = np.array([0.35, -0.2, 0.8]) * system.separation
+    runs = []
+    rule = lateralvdw.quadrature._qag
+
+    def counted(*args):
+        runs.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(lateralvdw.quadrature, "_qag", counted)
+    for route in (
+        lambda: recoil_rate_profile(system, 32),
+        lambda: assisted_rate_correction_quadrature(system),
+        lambda: recoil_rate_quadrature(system, 0.3),
+        lambda: greens_free_from_modes(delta, system.omega_a),
+    ):
+        runs.clear()
+        route()
+        assert len(runs) == 1
 
 
 @pytest.mark.parametrize("xi", [0.3, 4.66, 20.0])
