@@ -30,9 +30,9 @@ separation, or for validate the identity.
 Settings may come from a flat key=value config file (--config), with
 command-line flags taking precedence.
 
-Exit status: 0 on success, 1 when the validate verb finds a failing
-identity, 2 on configuration or usage errors, on a non-finite result and
-on a validate quadrature that does not converge.
+Exit status: 0 on success, 1 when validate finds a failing identity, 2 on
+configuration, usage or out-of-memory errors, a non-finite result or a
+validate quadrature that does not converge.
 """
 
 from __future__ import annotations
@@ -645,8 +645,8 @@ def main(argv=None) -> int:
         config = _build_config(args)
         _validate_config(config, args.verb)
         return _run(config, args.verb)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

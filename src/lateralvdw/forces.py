@@ -153,7 +153,9 @@ def _legs(system: TwoAtomSystem) -> tuple:
 # The low end of resonant_forces' xi range, open.  The gradient route's
 # coefficients grow like xi^-2 and its products like xi^-4 in SI units, and
 # one overflows from this float down: bisected over the floats of omega for
-# the default Cs-Rb dipole and polarizability at r = 1e-7 m.
+# the default Cs-Rb dipole and polarizability at r = 1e-7 m, and exact only
+# there: they grow like d/r^3 too, so r = 1e-9 m gives a nan force above it
+# (xi = 3.1e-79).  The route in closed-form units (ROADMAP item 4) removes it.
 _GRADIENT_XI_LOW = 6.693987421145195e-80
 
 
@@ -177,7 +179,8 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     and (d10 . G*, d01) for B, negated, where d10 . G* is the conjugate of
     G . d01 for the symmetric G.  A system with N separations gives (N, 3)
     forces and shapes.  xi must lie above _GRADIENT_XI_LOW (about 6.7e-80),
-    where the gradient route overflows.
+    where the gradient route overflows for the default dipole at
+    r = 1e-7 m; a larger d/r^3 overflows above it, to a nan force.
     """
     _population_valid(p1)
     _require_positive("xi", system.xi, low=_GRADIENT_XI_LOW)

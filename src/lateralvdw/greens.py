@@ -138,14 +138,14 @@ def _contractions(r_from, r_to, omega: float) -> tuple:
 
 
 def _greens(r_from, r_to, omega) -> np.ndarray:
-    """G(r_from, r_to, omega) per row; (N,) frequencies share one (3,) displacement."""
+    """G(r_from, r_to, omega) per row; omega is a float or one frequency per row."""
     lead, dist, unit = _displacements(r_from, r_to)
     unit = unit.T
     phase, a, b = _shape_coefficients(omega * dist / c)
     scale = phase / (4.0 * math.pi * dist)
     uu = unit[:, :, None] * unit[:, None, :]
     tensor = scale[:, None, None] * (a[:, None, None] * _EYE + b[:, None, None] * uu)
-    return tensor.reshape((lead or np.shape(omega)) + (3, 3))
+    return tensor.reshape(lead + (3, 3))
 
 
 def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
@@ -162,7 +162,7 @@ def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
     # proj[k, i, j] = (delta_ki - u_k u_i) u_j, the transverse part of e_k.
     proj = (_EYE - uu)[:, :, :, None] * unit[:, None, None, :]
     grad = term + b_over_r[:, None, None, None] * (proj + proj.swapaxes(-1, -2))
-    return grad.reshape((lead or np.shape(omega)) + (3, 3, 3))
+    return grad.reshape(lead + (3, 3, 3))
 
 
 def greens_free(r_from, r_to, omega: float) -> np.ndarray:

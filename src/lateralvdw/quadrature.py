@@ -1,26 +1,23 @@
 """Quadrature over the lateral-momentum plane and over the azimuth.
 
-The k-parallel axis splits at the light line k = omega/c.  On the
-propagating side the substitution k_par = (omega/c) sin(theta) removes the
-1/k_perp endpoint singularity exactly; on the evanescent side
-k_par = (omega/c) cosh(u) does the same and the integral is truncated once
-exp(-kappa r) has fallen by 40 e-folds.  Azimuthal integrals of smooth
-periodic integrands use the trapezoid rule with interval doubling, which
-converges spectrally; successive refinements act as the error estimate.
+integrate_k_par integrates k_par over [0, infinity) in one QUADPACK QAG
+rule with the G10/K21 pair (Piessens et al., QUADPACK, Springer 1983),
+split at the light line k = omega/c.  On the propagating side
+k_par = k sin(theta) removes the 1/k_perp endpoint singularity exactly; on
+the evanescent side k_par = k cosh(u) does the same, and the integral is
+truncated once exp(-kappa r) has fallen by 40 e-folds.  One abscissa t
+covers both sides, theta = t on [0, pi/2] and u = -t on [-u_max, 0], so a
+node's sign names its side.  Each round bisects the panels with the
+largest error estimates, never across t = 0, and evaluates all of their
+nodes in one integrand call; the error control acts on the sum of the
+sides.  One panel never stops the rule, so the first call holds each side
+whole and both of its halves (63 nodes per side, 126 for both); 200
+panels per side stop it.  A non-finite integral or error estimate raises
+QuadratureConvergenceError.
 
-The k_par integrals run QUADPACK's globally adaptive QAG scheme with the
-G10/K21 pair (Piessens et al., QUADPACK, Springer 1983): each round bisects
-the panels with the largest error estimates and evaluates all of their
-nodes in one integrand call.  integrate_k_par integrates both sides of the
-light line in one such rule.  One abscissa t covers them: the angle
-theta = t on [0, pi/2] and u = -t on [-u_max, 0], so a node's sign names
-its side.  Each side starts as one panel, bisection never crosses t = 0,
-and the error control acts on the sum of the sides.  One panel never stops
-the rule, so the first call already holds each side whole and both of its
-halves (63 nodes per side, 126 for both), and the second round takes the
-halves from it; 200 panels per side stop it.  integrate_propagating and
-integrate_evanescent are the same rule on one side.  A non-finite integral
-or error estimate raises QuadratureConvergenceError.
+integrate_angle integrates a smooth periodic integrand over the azimuth by
+the trapezoid rule with interval doubling, which converges spectrally;
+successive refinements act as the error estimate.
 
 Everything here is generic plumbing, set only by the two tolerances of a
 frozen QuadratureConfig; the physics lives in the integrands the callers
@@ -49,8 +46,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureConvergenceError",
     "integrate_k_par",
-    "integrate_propagating",
-    "integrate_evanescent",
     "integrate_angle",
 ]
 
@@ -59,6 +54,14 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """The two tolerances of every rule: it stops below max(abs_tol, rel_tol max|I|).
+
+    abs_tol is in the integral's own SI units: the default 1e-14 lies far
+    above the recoil integrals (|R| <= 2e-25 N/rad), which then stop after
+    one call and drift from xi = 60 on (README "Input domain").  For rel_tol
+    to act, set abs_tol below rel_tol |I|.
+    """
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
 
@@ -234,14 +237,11 @@ def _rows_times(values, weights: np.ndarray) -> np.ndarray:
 def _k_par_rule(f, k: float, sides, cfg: QuadratureConfig):
     """Integral of f(k_par, k_perp) over the sides of the light line k_par = k.
 
-    One abscissa t serves both sides, and its sign tells them apart.  On
-    the propagating side t is the angle theta in [0, pi/2], with
-    k_par = k sin(theta) and k_perp = k cos(theta); on the evanescent side
-    it is -u for u in [0, u_max], with k_par = k cosh(u) and k_perp = i kappa,
-    kappa = k sinh(u).  The Jacobian, k_perp or kappa, multiplies f and
-    cancels its 1/k_perp branch-point singularity.  ``sides`` lists the
-    (a, b) intervals of t to integrate; a panel of the rule never leaves its
-    side, so none crosses the light line at t = 0.
+    ``sides`` lists the (a, b) intervals of the abscissa t to integrate: t is
+    theta (k_perp = k cos(theta)) on the propagating side and -u
+    (k_perp = i kappa, kappa = k sinh(u)) on the evanescent one.  The
+    Jacobian, k_perp or kappa, multiplies f and cancels its 1/k_perp
+    branch-point singularity.
     """
 
     def g(t):
@@ -270,49 +270,15 @@ def _evanescent_side(k: float, distance: float) -> tuple:
 def integrate_k_par(f, omega: float, distance: float, config: QuadratureConfig | None = None):
     """Integral of f(k_par, k_perp) over k_par in [0, infinity), in one adaptive rule.
 
-    The sum of integrate_propagating and integrate_evanescent, with the
-    same substitutions and the same tail cutoff: the panels of both sides
-    share one rule, each round evaluates the new nodes of both in one call
-    of f, and the error control acts on the sum.  The first call holds
-    each side whole and both of its halves, 126 nodes.  No panel crosses
-    the light line.
+    _k_par_rule over both sides of the light line: the panels of both share
+    one rule, each round evaluates the new nodes of both in one call of f,
+    and the error control acts on the sum.  No panel crosses the light line.
     """
     cfg = config or _DEFAULT
     _require_positive("omega", omega)
     _require_positive("distance", distance)
     k = omega / c
     return _k_par_rule(f, k, (_PROPAGATING, _evanescent_side(k, distance)), cfg)
-
-
-def integrate_propagating(f, omega: float, config: QuadratureConfig | None = None):
-    """Integral of f(k_par, k_perp) over k_par in [0, omega/c].
-
-    The sin(theta) substitution supplies a factor k_perp = (omega/c)
-    cos(theta) that cancels the usual 1/k_perp endpoint singularity.  f
-    takes (N,) arrays of k_par and complex k_perp and returns (N,) values,
-    or (N, ...) for an array integrand (all components are integrated
-    together with a shared error control).
-    """
-    cfg = config or _DEFAULT
-    _require_positive("omega", omega)
-    return _k_par_rule(f, omega / c, (_PROPAGATING,), cfg)
-
-
-def integrate_evanescent(f, omega: float, distance: float,
-                         config: QuadratureConfig | None = None):
-    """Integral of f(k_par, k_perp) over k_par in (omega/c, infinity).
-
-    ``distance`` sets the exponential scale exp(-kappa * distance) of the
-    integrand tail; integration stops once kappa * distance reaches
-    _TAIL_EFOLDS (40) e-folds.  Substituting k_par = (omega/c) cosh(u)
-    cancels the 1/kappa branch-point singularity.  f takes the same (N,)
-    arrays and returns the same shapes as in integrate_propagating.
-    """
-    cfg = config or _DEFAULT
-    _require_positive("omega", omega)
-    _require_positive("distance", distance)
-    k = omega / c
-    return _k_par_rule(f, k, (_evanescent_side(k, distance),), cfg)
 
 
 def integrate_angle(f, config: QuadratureConfig | None = None):
@@ -325,9 +291,7 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
     azimuths: 2 pi j / 16, then the midpoints 2 pi (j + 1/2) / n of the
     n-point grid for n = 16, 32, ...  Each level is closed under
     phi -> phi + pi, with the shifted half last.  The integrand returns the
-    sum of its values over them: a scalar for a scalar integrand, an array
-    for an array one.  A scalar integrand gives a float, or a complex when
-    the imaginary part is nonzero.
+    sum of its values over them, and the integral has that sum's shape.
     """
     cfg = config or _DEFAULT
     two_pi = 2.0 * math.pi
@@ -340,8 +304,5 @@ def integrate_angle(f, config: QuadratureConfig | None = None):
         scale = float(_max_abs(refined))
         total, n = refined, 2 * n
         if delta <= max(cfg.abs_tol, cfg.rel_tol * scale):
-            if total.ndim == 0:
-                val = complex(total)
-                return val.real if abs(val.imag) == 0.0 else val
             return total
     raise QuadratureConvergenceError("periodic angle integral did not converge", delta)

@@ -340,10 +340,11 @@ def test_public_surface_matches_the_layer_modules():
     # the forces on both atoms in one call, and the one-mode scalar route,
     # the unused exponential decay and the free rate (DecayRates.gamma_free
     # holds it) are gone.  integrate_k_par, the one rule over both sides of
-    # the light line, is the 46th.
+    # the light line, is the only public k_par rule: the one-side rules are
+    # gone too.
     expected = [name for layer in _LAYERS for name in layer.__all__] + list(_CONSTANTS)
     assert sorted(lateralvdw.__all__) == sorted(expected)
-    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 46
+    assert len(set(lateralvdw.__all__)) == len(lateralvdw.__all__) == 44
     assert all(name in lateralvdw.constants.__all__ for name in _CONSTANTS)
     unresolved = sorted(name for name in lateralvdw.__all__ if not hasattr(lateralvdw, name))
     assert not unresolved, unresolved
@@ -351,6 +352,7 @@ def test_public_surface_matches_the_layer_modules():
     removed = (
         "resonant_force_on_a", "resonant_force_on_b", "greens_cylindrical_mode",
         "rate_density", "transverse_wavenumber", "population", "free_decay_rate",
+        "integrate_propagating", "integrate_evanescent",
     )
     for name in removed:
         assert not any(hasattr(module, name) for module in (lateralvdw, *_LAYERS)), name

@@ -1,6 +1,8 @@
 """End-to-end CLI runs against temporary directories."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -857,6 +860,98 @@ def test_non_finite_table_exits_two_without_a_warning_or_a_file(tmp_path, monkey
     assert captured.out == ""
     assert captured.err == "error: v is -inf at r = 1e-12; no table written\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+@pytest.mark.parametrize(
+    "verb, stage",
+    [
+        ("velocity", "_sweep"),
+        ("emission-spectrum", "emission_spectrum"),
+        ("force-curve", "_float_body"),
+    ],
+)
+def test_table_too_large_for_memory_exits_two(tmp_path, monkeypatch, capsys, verb, stage, message):
+    # velocity --points 1000000000000 once left main as a numpy
+    # _ArrayMemoryError traceback with exit 1.  Each patched stage raises
+    # before its grid, spectrum or first block of bytes exists; the last
+    # one raises with the temp file open.
+    monkeypatch.chdir(tmp_path)
+
+    def too_large(*args):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cli, stage, too_large)
+    assert main([verb, "--output", "out.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()
+    assert err == f"error: {message or 'MemoryError'}"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every float setting; the property draws 1-4 of them at once.
+_FLOAT_KEYS = sorted(name for name, parse in cli._FIELD_PARSERS.items() if parse is float)
+# Log-uniform magnitudes over the whole double range, 5e-324 to 1.8e308; one
+# in four negative, since a negative setting stops at the first rule.
+_ANY_DOUBLE = st.builds(
+    lambda exponent, sign: sign * 10.0**exponent,
+    st.floats(min_value=-323.3, max_value=308.25),
+    st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+)
+
+
+def _numeric_cells(path: Path, fmt: str) -> list:
+    """Every cell of a written table that reads as a number."""
+    if fmt == "json":
+        rows = [row.values() for row in json.loads(path.read_text(encoding="utf-8"))["rows"]]
+        return [v for row in rows for v in row if type(v) in (float, int)]
+    _, _, body = read_table(path)
+    numbers = []
+    for text in (text for row in body for text in row):
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            pass
+    return numbers
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    verb=st.sampled_from(sorted(cli._VERBS)),
+    floats=st.dictionaries(st.sampled_from(_FLOAT_KEYS), _ANY_DOUBLE, min_size=1, max_size=4),
+    points=st.integers(min_value=1, max_value=64),
+    phi_points=st.integers(min_value=8, max_value=64),
+    log_scale=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_config_exits_zero_one_or_two_by_the_contract(
+    verb, floats, points, phi_points, log_scale, fmt
+):
+    # Exit 0 leaves a table whose numbers are all finite; exit 1 comes only
+    # from validate, with its table written; exit 2 prints exactly one
+    # error line and leaves no table and no temp file; no exception and no
+    # warning leaves main.
+    settings_text = dict(floats, points=points, phi_points=phi_points, log_scale=log_scale)
+    with tempfile.TemporaryDirectory() as scratch:
+        config, out = Path(scratch) / "run.cfg", Path(scratch) / "out"
+        config.write_text("".join(f"{k} = {v!r}\n" for k, v in settings_text.items()))
+        out.mkdir()
+        table = out / f"table.{fmt}"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([verb, "--config", str(config), "--format", fmt,
+                             "--output", str(table), "--no-timestamp"])
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        if code == 2:
+            assert len(errors) == 1 and errors[0] != "error: "
+            assert list(out.iterdir()) == []
+        else:
+            assert code == 0 or (code == 1 and verb == "validate")
+            assert errors == [] and list(out.iterdir()) == [table]
+            assert all(math.isfinite(v) for v in _numeric_cells(table, fmt))
 
 
 def test_usage_errors_exit_two(tmp_path, monkeypatch, capsys):

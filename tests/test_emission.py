@@ -15,8 +15,7 @@ from lateralvdw import (
     asymmetry,
     emission_spectrum,
     greens_free,
-    integrate_evanescent,
-    integrate_propagating,
+    integrate_k_par,
     near_field_recoil_rate,
     recoil_rate,
     recoil_rate_prefactor,
@@ -210,9 +209,7 @@ def test_density_integral_reproduces_assisted_correction():
     for j in range(n_phi):
         density = _mode_sandwich_profile(system, 2.0 * math.pi * j / n_phi)
         f = lambda kp, kz: kp * density(kp, kz)
-        radial = integrate_propagating(f, system.omega_a, cfg)
-        radial += integrate_evanescent(f, system.omega_a, system.separation, cfg)
-        total += radial.real
+        total += integrate_k_par(f, system.omega_a, system.separation, cfg).real
     total *= 2.0 * math.pi / n_phi
     assert total == pytest.approx(closed, rel=1e-7)
 

@@ -424,8 +424,10 @@ def test_factored_zeta_contraction_matches_tensor_contraction():
     r_a = np.array([0.1e-7, -0.3e-7, 0.2e-7])
     r_b = np.array([1.3e-7, 0.4e-7, -2.6e-7])
     zeta = np.geomspace(1e12, 1e17, 41)
-    g_back = _greens(r_b, r_a, 1j * zeta).real
-    grad = _greens_gradient(r_a, r_b, 1j * zeta).real
+    # One row of stacked points per frequency.
+    rows_a, rows_b = np.tile(r_a, (len(zeta), 1)), np.tile(r_b, (len(zeta), 1))
+    g_back = _greens(rows_b, rows_a, 1j * zeta).real
+    grad = _greens_gradient(rows_a, rows_b, 1j * zeta).real
     expected = np.einsum("ij,nkjb,nbi->nk", dyad, grad, g_back)
 
     unit = (r_a - r_b) / np.linalg.norm(r_a - r_b)

@@ -18,8 +18,7 @@ from lateralvdw import (
     greens_free_from_modes,
     greens_free_gradient,
     impulse_velocity_single_shot,
-    integrate_evanescent,
-    integrate_propagating,
+    integrate_k_par,
     lateral_force_shape,
     lateral_velocity,
     near_field_recoil_rate,
@@ -215,9 +214,8 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: greens_free(np.zeros(3), delta, bad),
         lambda: greens_free_gradient(np.zeros(3), delta, bad),
         lambda: greens_free_from_modes(delta, bad),
-        lambda: integrate_propagating(lambda k_par, k_perp: k_par, bad),
-        lambda: integrate_evanescent(lambda k_par, k_perp: k_par, bad, 1e-6),
-        lambda: integrate_evanescent(lambda k_par, k_perp: k_par, OMEGA, bad),
+        lambda: integrate_k_par(lambda k_par, k_perp: k_par, bad, 1e-6),
+        lambda: integrate_k_par(lambda k_par, k_perp: k_par, OMEGA, bad),
         lambda: TwoAtomSystem(bad, peak_system.dipole_a, peak_system.alpha_b, 632e-9),
         lambda: TwoAtomSystem.cs_rb(632e-9, mass_a=bad),
         # 2 pi c / 1e-320 overflows to an infinite frequency.

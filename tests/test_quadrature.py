@@ -22,18 +22,34 @@ from lateralvdw import (
     assisted_rate_correction_quadrature,
     greens_free_from_modes,
     integrate_angle,
-    integrate_evanescent,
     integrate_k_par,
-    integrate_propagating,
     nonresonant_force,
     recoil_rate_profile,
     recoil_rate_quadrature,
 )
 from lateralvdw.constants import c
-from lateralvdw.quadrature import _GAUSS, _KRONROD, _NODES
+from lateralvdw.quadrature import (
+    _GAUSS,
+    _KRONROD,
+    _NODES,
+    _PROPAGATING,
+    _evanescent_side,
+    _k_par_rule,
+)
 
 # Natural scale: k = omega/c = 1 per metre, so xi equals the distance in metres.
 OMEGA = c
+
+
+def propagating_rule(f, omega, config=QuadratureConfig()):
+    """The k_par rule on its propagating side alone: k_par in [0, omega/c]."""
+    return _k_par_rule(f, omega / c, (_PROPAGATING,), config)
+
+
+def evanescent_rule(f, omega, distance, config=QuadratureConfig()):
+    """The k_par rule on its evanescent side alone, with integrate_k_par's tail cutoff."""
+    k = omega / c
+    return _k_par_rule(f, k, (_evanescent_side(k, distance),), config)
 
 
 def _k_par_nodes(integrate, *args):
@@ -52,9 +68,9 @@ def test_transverse_wavenumber_branches():
     # Below the light line k_perp is real and positive; above it, positive
     # imaginary: the branch Im k_perp >= 0 the integrands are promised.
     k = OMEGA / c
-    k_par, k_perp = _k_par_nodes(integrate_propagating, OMEGA)
+    k_par, k_perp = _k_par_nodes(propagating_rule, OMEGA)
     assert np.all(k_par < k) and np.all(k_perp.real > 0.0) and np.all(k_perp.imag == 0.0)
-    k_par, k_perp = _k_par_nodes(integrate_evanescent, OMEGA, 1.0)
+    k_par, k_perp = _k_par_nodes(evanescent_rule, OMEGA, 1.0)
     assert np.all(k_par > k) and np.all(k_perp.real == 0.0) and np.all(k_perp.imag > 0.0)
 
 
@@ -63,8 +79,8 @@ def test_transverse_wavenumber_squares_back(ratio: float):
     omega = ratio * OMEGA
     k = omega / c
     for k_par, k_perp in (
-        _k_par_nodes(integrate_propagating, omega),
-        _k_par_nodes(integrate_evanescent, omega, 1.0),
+        _k_par_nodes(propagating_rule, omega),
+        _k_par_nodes(evanescent_rule, omega, 1.0),
     ):
         assert np.all(k_perp.imag >= 0.0)
         error = np.abs(k_perp**2 - (k * k - k_par * k_par))
@@ -74,9 +90,9 @@ def test_transverse_wavenumber_squares_back(ratio: float):
 def test_propagating_elementary_integrals():
     k = OMEGA / c
     # int_0^k k_par/k_perp dk_par = k, and int_0^k k_par dk_par = k^2/2.
-    ratio = integrate_propagating(lambda kp, kz: kp / kz, OMEGA)
+    ratio = propagating_rule(lambda kp, kz: kp / kz, OMEGA)
     assert ratio == pytest.approx(k, rel=1e-10)
-    plain = integrate_propagating(lambda kp, kz: kp, OMEGA)
+    plain = propagating_rule(lambda kp, kz: kp, OMEGA)
     assert plain == pytest.approx(0.5 * k * k, rel=1e-10)
 
 
@@ -98,9 +114,7 @@ def test_lateral_momentum_integrals_match_hankel_forms(xi: float):
         (2, math.pi * xi / (2.0 * r * r) * hankel1(1, xi)),
         (4, 3.0 * math.pi * xi * xi / (2.0 * r**4) * hankel1(2, xi)),
     ):
-        total = integrate_propagating(kernel(power), OMEGA) + integrate_evanescent(
-            kernel(power), OMEGA, r
-        )
+        total = integrate_k_par(kernel(power), OMEGA, r)
         assert abs(total - closed) <= 1e-8 * abs(closed)
 
 
@@ -109,7 +123,7 @@ def test_scalar_kernel_integral(xi: float):
     # int_0^inf k_par/k_perp e^{i k_perp r} dk_par = -i e^{i xi} / r.
     r = xi
     f = lambda kp, kz: kp / kz * np.exp(1j * kz * r)
-    total = integrate_propagating(f, OMEGA) + integrate_evanescent(f, OMEGA, r)
+    total = integrate_k_par(f, OMEGA, r)
     closed = -1j * cmath.exp(1j * xi) / r
     assert abs(total - closed) <= 1e-8 * abs(closed)
 
@@ -119,9 +133,9 @@ def test_evanescent_tail_cutoff_converged(monkeypatch):
     r = 1.0
     f = lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r)
     assert lateralvdw.quadrature._TAIL_EFOLDS == 40.0
-    base = integrate_evanescent(f, OMEGA, r)
+    base = evanescent_rule(f, OMEGA, r)
     monkeypatch.setattr(lateralvdw.quadrature, "_TAIL_EFOLDS", 80.0)
-    deep = integrate_evanescent(f, OMEGA, r)
+    deep = evanescent_rule(f, OMEGA, r)
     assert abs(base - deep) <= 1e-12 * abs(base)
 
 
@@ -131,16 +145,14 @@ def test_tolerance_configuration_controls_accuracy():
     closed = math.pi * 3.0 / (2.0 * r * r) * hankel1(1, 3.0)
     for rel_tol, bound in ((1e-5, 1e-4), (1e-11, 1e-9)):
         cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
-        total = integrate_propagating(f, OMEGA, cfg) + integrate_evanescent(
-            f, OMEGA, r, cfg
-        )
+        total = integrate_k_par(f, OMEGA, r, cfg)
         assert abs(total - closed) <= bound * abs(closed)
 
 
 def test_vector_integrands_share_error_control():
     k = OMEGA / c
     f = lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1)
-    total = integrate_propagating(f, OMEGA)
+    total = propagating_rule(f, OMEGA)
     assert total[0] == pytest.approx(0.5 * k * k, rel=1e-9)
     assert total[1] == pytest.approx(k, rel=1e-9)
     assert total[2] == pytest.approx(k**3 / 3.0, rel=1e-9)
@@ -174,7 +186,7 @@ def test_angle_harmonic_orthogonality(m: int, n: int):
 
 def test_angle_integral_returns_complex_when_needed():
     value = integrate_angle(lambda phi: np.sum(np.exp(1j * phi) + 2.0))
-    assert isinstance(value, complex)
+    assert np.iscomplexobj(value)
     assert value == pytest.approx(4.0 * math.pi, abs=1e-10)
 
 
@@ -230,9 +242,9 @@ def test_config_is_frozen():
 def test_domain_errors():
     f = lambda kp, kz: kp
     with pytest.raises(ValueError):
-        integrate_propagating(f, 0.0)
+        integrate_k_par(f, 0.0, 1.0)
     with pytest.raises(ValueError):
-        integrate_evanescent(f, OMEGA, 0.0)
+        integrate_k_par(f, OMEGA, 0.0)
 
 
 # -- the batched G10/K21 rule against scipy.integrate.quad_vec --------------
@@ -292,8 +304,8 @@ def test_rule_matches_quad_vec_on_analytic_integrals(xi: float, reference_rule):
     r = xi
     for f in _analytic_kernels(r):
         for integral in (
-            lambda: integrate_propagating(f, OMEGA),
-            lambda: integrate_evanescent(f, OMEGA, r),
+            lambda: propagating_rule(f, OMEGA),
+            lambda: evanescent_rule(f, OMEGA, r),
         ):
             assert _relative_gap(integral(), reference_rule(integral)) <= 1e-13
 
@@ -312,7 +324,7 @@ def test_k_par_rule_is_the_sum_of_its_sides(xi: float):
     r = xi
     for f in _analytic_kernels(r):
         both = integrate_k_par(f, OMEGA, r)
-        sides = integrate_propagating(f, OMEGA) + integrate_evanescent(f, OMEGA, r)
+        sides = propagating_rule(f, OMEGA) + evanescent_rule(f, OMEGA, r)
         assert _relative_gap(both, sides) <= 1e-13
 
 
@@ -420,7 +432,7 @@ def test_rule_splits_several_panels_per_call():
 
 def test_adaptive_rule_stalls_on_rough_integrand():
     with pytest.raises(QuadratureConvergenceError) as excinfo:
-        integrate_propagating(lambda kp, kz: np.sin(1e8 * kp * kp), OMEGA)
+        propagating_rule(lambda kp, kz: np.sin(1e8 * kp * kp), OMEGA)
     assert excinfo.value.error_estimate > 0.0
 
 
@@ -437,9 +449,11 @@ def test_adaptive_rule_raises_on_non_finite_integrals(f):
     # RuntimeWarning is an error in this suite: the rule must raise its own
     # error instead of returning inf or nan, and warn about nothing.
     with pytest.raises(QuadratureConvergenceError):
-        integrate_propagating(f, OMEGA)
+        propagating_rule(f, OMEGA)
     with pytest.raises(QuadratureConvergenceError):
-        integrate_evanescent(f, OMEGA, 1.0)
+        evanescent_rule(f, OMEGA, 1.0)
+    with pytest.raises(QuadratureConvergenceError):
+        integrate_k_par(f, OMEGA, 1.0)
 
 
 def test_adaptive_rule_raises_on_a_non_finite_first_panel():
