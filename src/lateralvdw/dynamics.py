@@ -72,7 +72,7 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
     closed-form counterpart of the mode-resolved density integral.  A
     system with N separations gives (N,) corrections.
     """
-    leg, apply, _ = _legs(system)
+    leg, apply = _legs(system)
     outbound = apply(system.dipole_a)
     # Row by row as a (1, 3) @ (3, 1) product: the bits of the scalar dot.
     sandwich = (outbound[..., None, :] @ (system.alpha_b * leg)[..., :, None])[..., 0, 0]

@@ -10,8 +10,8 @@ R has the closed form
     R = d^2 alpha_B / (64 pi^3 eps0^2 r^7) [f1 + f2 cos(2 phi) + f3 cos(phi)]
 with dimensionless coefficients f1, f2, f3 of xi = omega r / c alone; the
 quadrature route through the mode tensors must reproduce it, and does so
-to about 2e-12 of the prefactor times |f1| + |f2| + |f3| up to xi = 20
-(QuadratureConfig says why not beyond with the default tolerances).
+to 3.4e-13 of the prefactor times |f1| + |f2| + |f3| or better from xi = 0.3
+to 20 (QuadratureConfig says why not beyond with the default tolerances).
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ from .constants import (
     hbar,
     mu_0,
 )
-from .greens import _contractions, _displacements, _radial_coefficients
+from .greens import _XI_FLOOR, _contractions, _displacements, _radial_coefficients
 from .quadrature import _TAIL_EFOLDS, QuadratureConfig, _qag
-from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
+from .system import _ATOM_B_SIDE, TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
     "ForceResult",
@@ -45,9 +45,9 @@ class ForceResult:
 
     ``prefactor`` is the closed-form scale d^2 alpha_B / (8 pi^2 eps0^2 r^7)
     in newtons and ``shape_factor`` the dimensionless per-component shapes,
-    so the product identity is exact by construction.  For a system with N
-    separations, ``force`` and ``shape_factor`` are (N, 3) and
-    ``prefactor`` is (N,).
+    computed directly, so the product identity is exact by construction.
+    For a system with N separations, ``force`` and ``shape_factor`` are
+    (N, 3) and ``prefactor`` is (N,).
     """
 
     force: np.ndarray
@@ -112,51 +112,31 @@ def lateral_force_closed_form(system: TwoAtomSystem, p1: float) -> float | np.nd
     return hand * p1 * _closed_form_scale(system) * lateral_force_shape(system.xi)
 
 
-def _force_result(system: TwoAtomSystem, p1: float, force_unit: np.ndarray) -> ForceResult:
-    # force_unit is the p1 = 1 force; report shapes against the closed-form
-    # scale so the decomposition stays exact under reassembly.
-    scale = _closed_form_scale(system)
-    column = np.asarray(scale)[..., None]
-    shape = force_unit / column
-    return ForceResult(
-        force=p1 * column * shape,
-        shape_factor=shape,
-        prefactor=scale,
-        population=p1,
-    )
-
-
-# The scattered-field sandwich d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01 is
-# shared by both resonant forces, the mode-resolved emission density and the
-# assisted decay rate; its coupling and its legs live here only.
+# The SI sandwich d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01 of the assisted decay
+# rate and the mode-resolved emission density; resonant_forces works in units of r.
 
 
 def _coupling(omega: float) -> float:
-    """2 mu0^2 omega^4: the sandwich times this is a force (gradient) or hbar
-    times a rate (imaginary part)."""
+    """2 mu0^2 omega^4: the sandwich times this is hbar times a rate (imaginary part)."""
     _require_positive("omega", omega, high=_FOURTH_POWER_LIMIT)
     return 2.0 * mu_0**2 * omega**4
 
 
 def _legs(system: TwoAtomSystem) -> tuple:
-    """The leg G(r_A, r_B) . d01 and the contractions of greens._contractions.
+    """The leg G(r_A, r_B) . d01 and the contraction G(r_A, r_B) . v.
 
     The leg is (3,), or (N, 3) for N separations; alpha_B times it is the
     return leg alpha_B G(r_B, r_A) . d01, since the free G is even in the
-    displacement, bit for bit.  The contractions are G(r_A, r_B) . v and
-    l . grad_k G(r_A, r_B) . w at the system's separations.
+    displacement, bit for bit.  For dynamics.assisted_decay_rate and
+    emission._mode_sandwich_profile; xi must lie above greens._XI_FLOOR.
     """
-    apply, gradient = _contractions(system.position_a, system.position_b, system.omega_a)
-    return apply(np.conj(system.dipole_a)), apply, gradient
+    _require_positive("xi", system.xi, low=_XI_FLOOR)
+    apply, _ = _contractions(system.position_a, system.position_b, system.xi)
+    return apply(np.conj(system.dipole_a)), apply
 
 
-# The low end of resonant_forces' xi range, open.  The gradient route's
-# coefficients grow like xi^-2 and its products like xi^-4 in SI units, and
-# one overflows from this float down: bisected over the floats of omega for
-# the default Cs-Rb dipole and polarizability at r = 1e-7 m, and exact only
-# there: they grow like d/r^3 too, so r = 1e-9 m gives a nan force above it
-# (xi = 3.1e-79).  The route in closed-form units (ROADMAP item 4) removes it.
-_GRADIENT_XI_LOW = 6.693987421145195e-80
+# Below this xi the xi^5 shapes, of amplitude at most |d/d|^2 = 2, stay under max/2.
+_SHAPE_XI_HIGH = (float(np.finfo(float).max) / 4.0) ** 0.2
 
 
 def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
@@ -171,29 +151,34 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     at r = r_B.  The phase factors of F_B cancel pairwise, which removes
     both its lateral component and the standing-wave oscillation in z.
 
-    Both come from one leg G(r_A, r_B) . d01 and one gradient: the free G is
-    even in r_A - r_B and its gradient odd, so G(r_B, r_A) is G(r_A, r_B) and
-    grad G(r_B, r_A) is -grad G(r_A, r_B), bit for bit, since the unit
-    vector flips sign exactly.  The gradient is contracted with the two
-    legs row by row (greens._contractions): (d10, alpha_B G . d01) for A
-    and (d10 . G*, d01) for B, negated, where d10 . G* is the conjugate of
-    G . d01 for the symmetric G.  A system with N separations gives (N, 3)
-    forces and shapes.  xi must lie above _GRADIENT_XI_LOW (about 6.7e-80),
-    where the gradient route overflows for the default dipole at
-    r = 1e-7 m; a larger d/r^3 overflows above it, to a nan force.
+    The shapes are computed directly in units of r (B at -z at distance 1,
+    xi for omega r / c, the unit dipole d/d with d^2 = |d|^2 / 2): with
+    mu0 eps0 c^2 = 1, each shape is 16 pi^2 xi^2 Re[l . grad G . xi^2 G . w]
+    and each force p1 times the closed-form scale times it, with no SI
+    product.  G is even in r_A - r_B and its gradient odd, so one leg
+    xi^2 G . d01 and one gradient (greens._contractions) serve both: (l, w)
+    is (d10, leg) for A and, negated, (leg*, d01) for B.  N separations give
+    (N, 3) results.  xi must lie in (greens._XI_FLOOR, _SHAPE_XI_HIGH),
+    about (2.9e-154, 3.4e61), where the 1/xi^2 terms and the xi^5 shapes
+    stay finite; a force past the float range raises ValueError too.
     """
     _population_valid(p1)
-    _require_positive("xi", system.xi, low=_GRADIENT_XI_LOW)
-    coupling = _coupling(system.omega_a)
-    d10 = system.dipole_a
-    leg, _, gradient = _legs(system)
-
-    sandwich_a = gradient(d10, system.alpha_b * leg)
-    sandwich_b = gradient(np.conj(leg), np.conj(d10)) * -system.alpha_b
-    return (
-        _force_result(system, p1, coupling * sandwich_a.real),
-        _force_result(system, p1, coupling * sandwich_b.real),
-    )
+    xi = system.xi
+    _require_positive("xi", xi, low=_XI_FLOOR, high=_SHAPE_XI_HIGH)
+    # Part by part: complex division would multiply by an inexact 1/d.
+    d = math.sqrt(np.vdot(system.dipole_a, system.dipole_a).real / 2.0)
+    d10 = system.dipole_a.real / d + 1j * (system.dipole_a.imag / d)
+    apply, gradient = _contractions(np.zeros(3), (0.0, 0.0, _ATOM_B_SIDE), xi)
+    x2 = np.asarray(xi * xi)[..., None]
+    leg = x2 * apply(np.conj(d10))
+    sandwiches = np.stack([gradient(d10, leg), -gradient(np.conj(leg), np.conj(d10))])
+    shapes = 16.0 * math.pi**2 * x2 * sandwiches.real
+    scale = _closed_form_scale(system)
+    with np.errstate(over="ignore"):
+        forces = p1 * np.asarray(scale)[..., None] * shapes
+    if not np.isfinite(forces).all():
+        raise ValueError("resonant force must be finite, but scale times shape overflows")
+    return tuple(ForceResult(force, shape, scale, p1) for force, shape in zip(forces, shapes))
 
 
 def _trace_gradient_imag(dyad: np.ndarray, r_a: np.ndarray, r_b: np.ndarray):

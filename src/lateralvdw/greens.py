@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .constants import _require_finite, _require_positive, c
+from .constants import _OMEGA_FLOOR, _require_finite, _require_positive, c
 from .quadrature import (
     QuadratureConfig,
     integrate_angle,
@@ -56,6 +56,10 @@ def _displacements(r_from, r_to) -> tuple:
     return lead, dist, rr / dist
 
 
+# Just below this xi, 15/xi^2 (in B' - 2 B/r), the largest coefficient term, overflows.
+_XI_FLOOR = math.sqrt(15.0 / float(np.finfo(float).max))
+
+
 # The coefficient kernels below take xi on the real axis or, for
 # nonresonant_force, at xi = i eta (omega = i zeta).  There every
 # coefficient continues term by term: a = 1 + 1/eta + 1/eta^2, the phase
@@ -90,8 +94,8 @@ def _derivative_shapes(xi: np.ndarray) -> tuple:
     return da, db
 
 
-def _contractions(r_from, r_to, omega: float) -> tuple:
-    """G(r_from, r_to, omega) . v and l . grad_k G . w per row, as two functions.
+def _contractions(r_from, r_to, xi) -> tuple:
+    """G(r_from, r_to) . v and l . grad_k G . w at the given xi = omega r / c, per row.
 
     With G = A I + B uu and its gradient from _radial_coefficients,
     G . v = A (v - u (u.v)) + (A + B) u (u.v) and
@@ -101,10 +105,10 @@ def _contractions(r_from, r_to, omega: float) -> tuple:
     The displacement, the phase and the shapes are formed once; the
     derivative shapes only when a gradient is first contracted.  Both
     functions take vectors of shape (3,) or (N, 3) and give a (3,) row for
-    single points and (N, 3) rows for (N, 3) stacks.
+    single points and (N, 3) rows for (N, 3) stacks or for N values of xi.
     """
     lead, dist, unit = _displacements(r_from, r_to)
-    xi = omega * dist / c
+    lead = np.broadcast_shapes(lead, np.shape(xi))
     phase, a, b = _shape_coefficients(xi)
     scale = phase / (4.0 * math.pi * dist)
     # a + b summed before the scale, as in _greens, so on-axis rows are its bits.
@@ -137,11 +141,18 @@ def _contractions(r_from, r_to, omega: float) -> tuple:
     return apply, gradient
 
 
+def _rows(r_from, r_to, omega) -> tuple:
+    """_displacements with (N, 3) unit rows, and xi = omega r / c; |xi| above _XI_FLOOR."""
+    lead, dist, unit = _displacements(r_from, r_to)
+    xi = omega * dist / c
+    _require_positive("|xi|", np.abs(xi), low=_XI_FLOOR)
+    return lead, dist, unit.T, xi
+
+
 def _greens(r_from, r_to, omega) -> np.ndarray:
     """G(r_from, r_to, omega) per row; omega is a float or one frequency per row."""
-    lead, dist, unit = _displacements(r_from, r_to)
-    unit = unit.T
-    phase, a, b = _shape_coefficients(omega * dist / c)
+    lead, dist, unit, xi = _rows(r_from, r_to, omega)
+    phase, a, b = _shape_coefficients(xi)
     scale = phase / (4.0 * math.pi * dist)
     uu = unit[:, :, None] * unit[:, None, :]
     tensor = scale[:, None, None] * (a[:, None, None] * _EYE + b[:, None, None] * uu)
@@ -150,9 +161,8 @@ def _greens(r_from, r_to, omega) -> np.ndarray:
 
 def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
     """grad[..., k, i, j] = d G_ij / d r_from[k], assembled from _radial_coefficients."""
-    lead, dist, unit = _displacements(r_from, r_to)
-    unit = unit.T
-    phase, _, b, da, db = _radial_coefficients(omega * dist / c)
+    lead, dist, unit, xi = _rows(r_from, r_to, omega)
+    phase, _, b, da, db = _radial_coefficients(xi)
     s2 = phase / (4.0 * math.pi * dist * dist)
     b_over_r = phase * b / (4.0 * math.pi * dist * dist)
 
@@ -168,8 +178,8 @@ def _greens_gradient(r_from, r_to, omega) -> np.ndarray:
 def greens_free(r_from, r_to, omega: float) -> np.ndarray:
     """Free-space dyadic Green's tensor G(r_from, r_to, omega), units 1/m.
 
-    Points of shape (3,) give a (3, 3) tensor; stacked points of shape
-    (N, 3) give the (N, 3, 3) stack of per-row tensors.
+    Points of shape (3,) give a (3, 3) tensor; stacked points of shape (N, 3)
+    give the (N, 3, 3) stack; xi = omega r / c must exceed _XI_FLOOR, 2.9e-154.
     """
     _require_positive("omega", omega)
     return _greens(r_from, r_to, omega)
@@ -271,6 +281,7 @@ def greens_free_from_modes(delta_r, omega: float,
     light line, so each round runs one azimuth integral for the new nodes
     of both.
     """
+    _require_positive("omega", omega, low=_OMEGA_FLOOR)  # (c/omega)^2 stays finite
     _require_finite("delta_r", delta_r)
     dx, dy, dz = np.asarray(delta_r, dtype=float)
     if dz == 0.0:

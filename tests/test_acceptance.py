@@ -98,13 +98,13 @@ def test_ac02_bracket_identity():
     _, hand = system.circular_parameters()
     gradient = hand * resonant_forces(system, 1.0)[0].shape_factor[:, 0]
     error = np.abs(gradient - lateral_force_shape(system.xi)) / _lateral_norm(system.xi)
-    gradient_worst = float(np.max(error / (1e-9 + 500.0 * EPS / system.xi**4)))
+    gradient_worst = float(np.max(error / (1e-13 + 500.0 * EPS / system.xi**4)))
     elapsed = time.perf_counter() - t0
     _report(
         worst <= 1e-12 and gradient_worst <= 1.0 and elapsed < 1.0,
         f"lateral bracket equals -f3/8: worst rel {worst:.2e} (tol 1e-12), "
         f"and the gradient route's shape: worst error {gradient_worst:.2e} of its "
-        f"tolerance 1e-9 + 500 eps/xi^4, on 1000 random points in (0, 50] "
+        f"tolerance 1e-13 + 500 eps/xi^4, on 1000 random points in (0, 50] "
         f"in {elapsed:.2f} s (budget 1 s)",
     )
 

@@ -298,7 +298,8 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         (["force-curve", "--r-min", "1e-60", "--r-max", "1e-59", "--points", "2"], None),
         # d^2 overflows.
         (["force-curve"], "dipole_moment = 1e200\n"),
-        # omega^4 overflows in the resonant coupling.
+        # xi ~ 6e63 lies above the gradient route's xi^5 ceiling (force-curve,
+        # validate); omega^4 overflows in the resonant coupling (velocity).
         (["force-curve"], "wavelength = 1e-70\n"),
         (["validate"], "wavelength = 1e-70\n"),
         (["velocity"], "wavelength = 1e-70\nrabi = 2e7\ndetuning = 1e9\n"),
@@ -317,11 +318,12 @@ def test_invalid_sweeps_exit_two(tmp_path, monkeypatch):
         # The identity quadrature stalls (xi ~ 2e22) or turns non-finite (xi ~ 4e-106).
         (["validate"], "wavelength = 1.8e-28\n"),
         (["validate"], "wavelength = 1e100\n"),
-        # xi falls below the gradient route's range (forces._GRADIENT_XI_LOW),
-        # where it wrote a nan F_z_B or F_z_A cell.
-        (["force-curve"], "wavelength = 1e75\n"),
-        (["force-curve"], "wavelength = 1e80\n"),
-        (["force-curve"], "wavelength = 1e100\n"),
+        # xi ~ 6e-157 lies below greens._XI_FLOOR: the gradient route's
+        # coefficients and the assisted rate's leg overflow there.
+        (["force-curve"], "wavelength = 1e150\n"),
+        (["velocity", "--points", "3"], "wavelength = 1e150\nrabi = 2e7\ndetuning = 1e9\n"),
+        # Finite shapes (xi ~ 6e55), but scale times shape overflows at r = 1e-20 m.
+        (["force-curve"], "r_min = 1e-20\nr_max = 2e-20\npoints = 2\nwavelength = 1e-75\n"),
     ],
 )
 def test_non_finite_and_out_of_range_settings_exit_two(
@@ -339,17 +341,42 @@ def test_non_finite_and_out_of_range_settings_exit_two(
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("wavelength", ["1e75", "1e80", "1e100"])
+@pytest.mark.parametrize("wavelength", ["1e150", "1e-68"])
 def test_force_curve_names_the_xi_range_of_the_gradient_route(
     tmp_path, monkeypatch, capsys, wavelength
 ):
-    # Below forces._GRADIENT_XI_LOW the route used to write a nan F_z cell
-    # and fail on it; the range rule now refuses xi first.
+    # xi below greens._XI_FLOOR (2.9e-154; here about 6e-157) or above
+    # forces._SHAPE_XI_HIGH (3.4e61; here from about 6e61) is refused by the
+    # range rule, before any cell is computed.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(f"wavelength = {wavelength}\n")
     assert main(["force-curve", "--config", "run.cfg"]) == 2
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("error: xi must be finite and positive in the supported range (")
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "wavelength = 1e75\n",
+        "wavelength = 1e80\n",
+        "wavelength = 1e100\n",
+        "r_min = 1e-9\nr_max = 1e-8\npoints = 3\nwavelength = 2e70\n",
+    ],
+)
+def test_force_curve_is_finite_down_to_the_near_field(tmp_path, monkeypatch, config_text):
+    # The SI gradient route overflowed here, to nan F_z cells or a range
+    # error that held for one dipole at one separation; in units of r the
+    # table is finite and F_z_B = -F_z_A, the near-field limit.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["force-curve", "--config", "run.cfg", "--output", "out.csv"]) == 0
+    _, header, body = read_table(tmp_path / "out.csv")
+    assert np.isfinite(np.array(body, dtype=float)).all()
+    f_z_a, f_z_b = column(header, body, "F_z_A"), column(header, body, "F_z_B")
+    assert np.all(np.abs(f_z_b + f_z_a) <= 1e-12 * np.abs(f_z_a))
 
 
 def test_validate_checks_the_configured_system(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Resonant and nonresonant force routes, closed forms, and scalings."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lateralvdw import (
     TwoAtomSystem,
     assisted_decay_rate,
     assisted_rate_correction_quadrature,
+    circular_dipole,
     emission_spectrum,
     greens,
     impulse_velocity_single_shot,
@@ -35,9 +38,11 @@ from lateralvdw.constants import (
     mu_0,
 )
 from lateralvdw.emission import spectrum_coefficients
-from lateralvdw.forces import _GRADIENT_XI_LOW, _trace_gradient_imag
+from lateralvdw.forces import _SHAPE_XI_HIGH, _trace_gradient_imag
 from lateralvdw.greens import (
+    _XI_FLOOR,
     _contractions,
+    _displacements,
     _greens,
     _greens_gradient,
     greens_free,
@@ -56,7 +61,7 @@ def test_gradient_route_reproduces_closed_form(xi: float):
     system = system_at_xi(xi)
     closed = lateral_force_closed_form(system, 1.0)
     gradient_route = resonant_forces(system, 1.0)[0].force[0]
-    assert gradient_route == pytest.approx(closed, rel=1e-10)
+    assert gradient_route == pytest.approx(closed, rel=1e-12)
 
 
 def _lateral_norm(xi: float) -> float:
@@ -77,7 +82,7 @@ def test_closed_form_matches_gradient_route_over_xi(log_xi: float, handedness: s
     closed = lateral_force_closed_form(system, 1.0)
     gradient_route = resonant_forces(system, 1.0)[0].force[0]
     error = abs(closed - gradient_route) / (_closed_form_scale(system) * _lateral_norm(xi))
-    assert error <= 1e-9 + 500.0 * np.finfo(float).eps / xi**4
+    assert error <= 1e-13 + 500.0 * np.finfo(float).eps / xi**4
 
 
 def test_no_out_of_plane_force():
@@ -187,28 +192,82 @@ def test_population_bounds_enforced():
         resonant_forces(system, 1.1)
 
 
-def test_resonant_forces_reject_xi_below_the_gradient_range():
-    # _GRADIENT_XI_LOW is the last float of xi (through omega, at r = 1e-7 m)
-    # where the gradient route overflows; the next one up gives finite forces.
-    # An array of separations is refused by its first bad entry.
-    def at_omega(omega, separation=1e-7):
-        return TwoAtomSystem(
-            omega_a=omega,
-            dipole_a=np.array([1j, 0.0, 1.0]) * 1.9e-29,
-            alpha_b=RUBIDIUM_POLARIZABILITY,
-            separation=separation,
-        )
+def _steps(value: float, n: int) -> list:
+    """value and the n floats on either side of it."""
+    up, down = [value], [value]
+    for _ in range(n):
+        up.append(math.nextafter(up[-1], math.inf))
+        down.append(math.nextafter(down[-1], 0.0))
+    return up + down[1:]
 
-    bad = at_omega(_GRADIENT_XI_LOW * c / 1e-7)
-    assert bad.xi == _GRADIENT_XI_LOW
+
+def system_with_xi(xi: float, dipole: np.ndarray, separation: float,
+                   alpha_b: float = RUBIDIUM_POLARIZABILITY) -> TwoAtomSystem:
+    """A system whose xi is exactly the float xi, at a separation within 16 ulp of the one given.
+
+    (omega r) / c skips some floats, which no system reaches.
+    """
+    for r in _steps(separation, 16):
+        for omega in _steps(xi * c / r, 2):
+            if omega * r / c == xi:
+                return TwoAtomSystem(omega, dipole, alpha_b, r)
+    raise AssertionError(f"no omega near {xi * c / separation} gives xi = {xi!r}")
+
+
+_DIPOLES = {
+    "right": np.array([1j, 0.0, 1.0]),
+    "left": np.array([-1j, 0.0, 1.0]),
+    "x": np.array([1.0, 0.0, 0.0]),
+    "z": np.array([0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("separation", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("dipole", list(_DIPOLES), ids=list(_DIPOLES))
+def test_resonant_forces_xi_floor_is_one_rule_of_xi(dipole: str, separation: float):
+    # The low end of the range is greens._XI_FLOOR for every dipole and
+    # separation: there it is refused, and the next float up gives finite
+    # shapes and forces.  An array of separations is refused by its first bad entry.
+    moment = 1.9e-29 * _DIPOLES[dipole]
+    bad = system_with_xi(_XI_FLOOR, moment, separation)
     with pytest.raises(ValueError, match="xi must be finite and positive in the supported range"):
         resonant_forces(bad, 1.0)
-    good = at_omega(math.nextafter(bad.omega_a, math.inf))
-    assert good.xi > _GRADIENT_XI_LOW
+    good = system_with_xi(math.nextafter(_XI_FLOOR, math.inf), moment, separation)
     for result in resonant_forces(good, 1.0):
-        assert np.isfinite(result.force).all()
+        assert np.isfinite(result.shape_factor).all() and np.isfinite(result.force).all()
+    mixed = TwoAtomSystem(bad.omega_a, moment, bad.alpha_b, np.array([2.0, 1.0]) * bad.separation)
     with pytest.raises(ValueError, match="xi must be finite"):
-        resonant_forces(at_omega(bad.omega_a, np.array([1e-6, 1e-7])), 1.0)
+        resonant_forces(mixed, 1.0)
+
+
+def test_resonant_forces_xi_ceiling_is_where_the_xi5_shape_could_overflow():
+    # The linear x dipole has the largest xi^5 amplitude, 2; just below the
+    # ceiling its shapes stay finite, and the ceiling itself is refused.
+    for dipole in _DIPOLES.values():
+        below = system_with_xi(math.nextafter(_SHAPE_XI_HIGH, 0.0), dipole, 1.0)
+        for result in resonant_forces(below, 0.0):
+            assert np.isfinite(result.shape_factor).all()
+        with pytest.raises(ValueError, match="supported range"):
+            resonant_forces(system_with_xi(_SHAPE_XI_HIGH, dipole, 1.0), 0.0)
+
+
+@given(
+    log_xi=st.floats(min_value=-150.0, max_value=55.0),
+    dipole_scale=st.floats(min_value=1e-3, max_value=1e3),
+    alpha_scale=st.floats(min_value=1e-3, max_value=1e3),
+    separation=st.floats(min_value=1e-10, max_value=1e-3),
+    p1=st.floats(min_value=0.0, max_value=1.0),
+    handedness=st.sampled_from(["right", "left"]),
+)
+def test_shapes_depend_on_xi_bits_alone(log_xi, dipole_scale, alpha_scale, separation, p1,
+                                        handedness):
+    # The route runs in units of r: d, alpha_B, r and p1 leave the shapes' bits alone.
+    base = TwoAtomSystem(10.0**log_xi * c / 1e-7, circular_dipole(1.9e-29, handedness),
+                         RUBIDIUM_POLARIZABILITY, 1e-7)
+    other = system_with_xi(base.xi, dipole_scale * base.dipole_a, separation,
+                           alpha_scale * RUBIDIUM_POLARIZABILITY)
+    for mine, theirs in zip(resonant_forces(base, 1.0), resonant_forces(other, p1)):
+        assert np.array_equal(mine.shape_factor, theirs.shape_factor)
 
 
 def test_shape_small_argument_expansion():
@@ -458,7 +517,8 @@ def test_factored_resonant_contraction_matches_tensor_contraction():
     rows = rng.normal(size=(61, 3)) + 1j * rng.normal(size=(61, 3))
     green = greens_free(r_a, r_b, omega)
     grad = greens_free_gradient(r_a, r_b, omega)
-    apply, gradient = _contractions(r_a, r_b, omega)
+    xi_rows = omega * _displacements(r_a, r_b)[1] / c
+    apply, gradient = _contractions(r_a, r_b, xi_rows)
     for got, expected in (
         (apply(vector), green @ vector),
         (apply(rows), np.einsum("nab,nb->na", green, rows)),
@@ -469,7 +529,7 @@ def test_factored_resonant_contraction_matches_tensor_contraction():
         row_scale = np.max(np.abs(expected), axis=1)
         assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * row_scale)
     for i in (0, 30, 60):
-        apply, gradient = _contractions(r_a, r_b[i], omega)
+        apply, gradient = _contractions(r_a, r_b[i], xi_rows[i])
         for got, expected in (
             (apply(vector), greens_free(r_a, r_b[i], omega) @ vector),
             (gradient(vector, rows[i]),
@@ -498,20 +558,22 @@ def test_sandwich_routes_build_no_tensor_stack(monkeypatch):
 
 
 # xi -> shape factors (x, y, z) on A and on B of the right-handed
-# system_at_xi(xi) at p1 = 1: mpmath at 40 digits on the binary inputs of
-# the system, with each gradient a numerical derivative of its sandwich
-# (not the analytic gradient), rounded to 17 digits.  F_B,x is zero exactly.
+# system_at_xi(xi), as printed by tools/resonant_reference.py: mpmath at 50
+# digits on the binary xi of the system, with each gradient a numerical
+# derivative of the sandwich in units of r (not the analytic gradient),
+# rounded to the nearest float.  F_B,x is zero exactly, and F_B,z is
+# xi^4 + 6 xi^2 + 15.
 RESONANT_REFERENCE = {
-    1e-3: ((-4.0000003809620558e-16, 0.0, -15.000006000036806),
-           (0.0, 0.0, 15.000006000036806)),
-    0.7: ((-0.070804914197017552, 0.0, -18.153097168087562),
-          (0.0, 0.0, 18.180100000043396)),
-    5.0: ((694.6886769124637, 0.0, 2184.0450220648115),
-          (0.0, 0.0, 790.00000000188585)),
-    60.0: ((-8547672.3913194085, 0.0, -481815204.89781018),
-           (0.0, 0.0, 12981615.000030987)),
-    1e3: ((-927820803153.87648, 0.0, -928927834222985.84),
-          (0.0, 0.0, 1000006000017.3868)),
+    0.001: ((-4.0000003809525086e-16, 0.0, -15.000006000001),
+             (0.0, 0.0, 15.000006000001)),
+    0.7: ((-0.07080491419684853, 0.0, -18.15309716804423),
+           (0.0, 0.0, 18.1801)),
+    5.0: ((694.6886769108054, 0.0, 2184.0450220595976),
+           (0.0, 0.0, 790.0)),
+    60.0: ((-8547672.391299041, 0.0, -481815204.89666235),
+            (0.0, 0.0, 12981615.0)),
+    1000.0: ((-927820803151.608, 0.0, -928927834220715.2),
+              (0.0, 0.0, 1000006000015.0)),
 }
 
 
@@ -521,6 +583,14 @@ def test_resonant_forces_match_frozen_references():
             reference = np.array(reference)
             error = np.max(np.abs(result.shape_factor - reference))
             assert error <= 1e-13 * np.max(np.abs(reference)), (xi, error)
+
+
+def test_resonant_references_are_the_generator_output():
+    path = Path(__file__).resolve().parents[1] / "tools" / "resonant_reference.py"
+    spec = importlib.util.spec_from_file_location("resonant_reference", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    assert generator.reference() == RESONANT_REFERENCE
 
 
 _ARRAY_SYSTEM = TwoAtomSystem.cs_rb(np.array([2e-7, 3e-7]))

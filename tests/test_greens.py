@@ -238,6 +238,13 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: spectrum_coefficients(1e200),
         lambda: resonant_forces(far_ultraviolet, 1.0),
         lambda: assisted_decay_rate(far_ultraviolet),
+        # xi = 3e-316 lies below greens._XI_FLOOR, where 1/xi^2 overflows, and
+        # omega = 1e-200 below the _OMEGA_FLOOR of (c/omega)^2.
+        lambda: greens_free(np.zeros(3), delta, 1e-300),
+        lambda: greens_free_gradient(np.zeros(3), delta, 1e-300),
+        lambda: greens_free_from_modes(delta, 1e-200),
+        # Finite shapes, but scale times shape overflows at r = 1e-20 m.
+        lambda: resonant_forces(TwoAtomSystem.cs_rb(1e-20, wavelength=1e-75), 1.0),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
