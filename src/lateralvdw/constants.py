@@ -56,10 +56,10 @@ RUBIDIUM_RESONANCE_WAVELENGTH = 780.241e-9
 # a nan or inf let through would come back as nan results or numpy warnings.
 
 # x^4 overflows from the fourth root of the largest float up: xi^4 in the
-# shape, omega^4 in the coupling.
+# shape.
 _FOURTH_POWER_LIMIT = float(np.finfo(float).max) ** 0.25
-# (c/omega)^2 overflows from omega = c over the square root of the largest
-# float down (about 2.2e-146 rad/s).
+# The lowest omega_A a TwoAtomSystem takes, c over the square root of the
+# largest float (about 2.2e-146 rad/s), where (c/omega)^2 would overflow.
 _OMEGA_FLOOR = c / math.sqrt(float(np.finfo(float).max))
 
 

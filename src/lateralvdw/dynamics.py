@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _require_finite, _require_positive, c, hbar, mu_0
-from .forces import _coupling, _legs, lateral_force_closed_form
-from .system import TwoAtomSystem, _require_float_separation
+from .forces import _unit_leg, lateral_force_closed_form
+from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
     "DecayRates",
@@ -69,17 +69,22 @@ def assisted_decay_rate(system: TwoAtomSystem) -> DecayRates:
 
     The correction is (2 mu0^2/hbar) omega^4 Im[d10 . G(r_A, r_B) alpha_B
     G(r_B, r_A) . d01]; it oscillates in sign with separation and is the
-    closed-form counterpart of the mode-resolved density integral.  A
-    system with N separations gives (N,) corrections.
+    closed-form counterpart of the mode-resolved density integral.  In
+    units of r (forces._unit_leg) it is r _closed_form_scale / hbar times
+    16 pi^2 Im[(xi^2 G . d10) . leg].  A system with N separations gives
+    (N,) corrections; one past the float range raises ValueError.
     """
-    leg, apply = _legs(system)
-    outbound = apply(system.dipole_a)
+    xi = system.xi
+    d10, leg, apply, _ = _unit_leg(system)
+    outbound = np.asarray(xi * xi)[..., None] * apply(d10)
     # Row by row as a (1, 3) @ (3, 1) product: the bits of the scalar dot.
-    sandwich = (outbound[..., None, :] @ (system.alpha_b * leg)[..., :, None])[..., 0, 0]
-    return DecayRates(
-        gamma_free=_free_decay_rate(system),
-        gamma_correction=_coupling(system.omega_a) / hbar * sandwich.imag,
-    )
+    sandwich = (outbound[..., None, :] @ leg[..., :, None])[..., 0, 0]
+    rate = 16.0 * math.pi**2 * sandwich.imag
+    with np.errstate(over="ignore"):  # hbar divides last: only a correction past max overflows
+        correction = system.separation * _closed_form_scale(system) * rate / hbar
+    if not np.isfinite(correction).all():
+        raise ValueError("decay-rate correction must be finite, but scale times rate overflows")
+    return DecayRates(gamma_free=_free_decay_rate(system), gamma_correction=correction)
 
 
 def steady_state_population(

@@ -9,9 +9,9 @@ picture of the lateral force: F_x = -p1 * int R cos(phi) dphi.
 R has the closed form
     R = d^2 alpha_B / (64 pi^3 eps0^2 r^7) [f1 + f2 cos(2 phi) + f3 cos(phi)]
 with dimensionless coefficients f1, f2, f3 of xi = omega r / c alone; the
-quadrature route through the mode tensors must reproduce it, and does so
-to 3.4e-13 of the prefactor times |f1| + |f2| + |f3| or better from xi = 0.3
-to 20 (QuadratureConfig says why not beyond with the default tolerances).
+quadrature route through the mode tensors, a dimensionless integral over
+q = k_par/k times the same prefactor, must reproduce it, and does so to
+1e-11 of the prefactor times |f1| + |f2| + |f3| from xi = 0.3 to 200.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import _require_count, _require_finite, _require_positive, hbar
-from .forces import _coupling, _legs, lateral_force_shape
+from .forces import _unit_leg, lateral_force_shape
 from .greens import (
     _MODE_TABLE,
     _SYMMETRIC,
@@ -37,7 +37,7 @@ from .quadrature import (
     integrate_k_par,
 )
 from .specfun import bessel_j, bessel_y
-from .system import TwoAtomSystem, _closed_form_scale, _require_float_separation
+from .system import _ATOM_B_SIDE, TwoAtomSystem, _closed_form_scale, _require_float_separation
 
 __all__ = [
     "SpectrumCoefficients",
@@ -183,36 +183,34 @@ def asymmetry(system: TwoAtomSystem) -> float:
     return 4.0 * hand * f3 * recoil_rate_prefactor(system)
 
 
-def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray):
-    """Emission rate density gamma(k_par, phi) at a float azimuth or over P azimuths.
+def _mode_sandwich_profile(system: TwoAtomSystem, phis: float | np.ndarray | None):
+    """Emission rate density g(q, phi) at a float azimuth, over P azimuths or per harmonic.
 
-    gamma is the density per k_par dk_par dphi of the scatterer-induced
-    decay-rate correction, (2 mu0^2 / hbar) omega^4 Im[d10 . G_mode(r_A - r_B)
-    alpha_B G(r_B, r_A) . d01], with the outbound leg resolved in the
-    lateral momentum and the return leg in closed form; over the full mode
-    measure it integrates to the assisted-decay correction.  It is singular
-    on the light line k_perp = 0, which the quadrature substitutions never
-    sample.  Returns a callable (k_par, k_perp) -> rate densities, with the
-    closed-form return leg hoisted out of the quadrature loop.  (K,) arrays
-    of k_par and k_perp give (K,) densities for a float phi and (K, P) for
-    an array; floats drop the K axis.  greens._MODE_TABLE contracts with the
-    weights of d10 . T . back on the six entries of the mode tensor T to the
+    g is the density per q dq dphi, q = k_par/k, of the scatterer-induced
+    decay-rate correction (2 mu0^2 / hbar) omega^4 Im[d10 . G_mode(r_A - r_B)
+    alpha_B G(r_B, r_A) . d01], the outbound leg resolved in the lateral
+    momentum: in units of r (forces._unit_leg), 16 pi^2 xi^3
+    Im[d10 . G_mode . leg] per r _closed_form_scale / hbar.  It is singular
+    on the light line q_perp = 0, which the quadrature never samples.  The
+    callable gives (K,) densities for a float phi, (K, P) for an array and,
+    for None, the (K, 6) coefficients of the harmonic table H(phi).
+    greens._MODE_TABLE contracts with the weights of d10 . T . leg to the
     sandwich's (4, 6) table of monomials by harmonics.
     """
-    omega = system.omega_a
-    dz = system.position_a[2] - system.position_b[2]
-    back = system.alpha_b * _legs(system)[0]
-    weights = np.outer(system.dipole_a, back).ravel() @ np.eye(6)[_SYMMETRIC]
+    xi = system.xi
+    d10, leg, _, _ = _unit_leg(system)
+    weights = np.outer(d10, leg).ravel() @ np.eye(6)[_SYMMETRIC]
     table = _MODE_TABLE @ weights
-    harmonics = _coupling(omega) / hbar * _azimuth_harmonics(phis)
-    side = math.copysign(1.0, dz)
+    basis = np.eye(6) if phis is None else _azimuth_harmonics(phis)
+    harmonics = 16.0 * math.pi**2 * xi**3 * basis
+    side = -_ATOM_B_SIDE  # r_A - r_B is -_ATOM_B_SIDE xi z in units of 1/k
 
-    def profile(k_par, k_perp) -> np.ndarray:
+    def profile(q, q_perp) -> np.ndarray:
         # TwoAtomSystem puts both atoms on the z axis, so the lateral phase
-        # e^{i k_par (dx cos phi + dy sin phi)} of the mode weight is exactly
+        # e^{i q (dx cos phi + dy sin phi)} of the mode weight is exactly
         # 1 and the weight is the node factor alone.
-        node = _mode_node(dz, k_perp)[..., None]
-        return (node * (_mode_monomials(k_par, side * k_perp, omega) @ table)).imag @ harmonics
+        node = _mode_node(xi, q_perp)[..., None]
+        return (node * (_mode_monomials(q, side * q_perp) @ table)).imag @ harmonics
 
     return profile
 
@@ -225,31 +223,41 @@ def _azimuths(n_phi: int) -> np.ndarray:
 
 def _k_par_moment(system: TwoAtomSystem, weight, phis: float | np.ndarray,
                   config: QuadratureConfig | None):
-    """Integral of weight(k_par) gamma(k_par, phi) over both sides of the light line.
+    """Integral of weight(q) g(q, phi) dq over both sides of the light line.
 
-    The weight stays inside the integrand: the absolute tolerance is sized
-    for the weighted integral.  A float phi gives one value, an array one per
-    azimuth.
+    The weight stays inside the integrand, so the tolerance applies to the
+    weighted integral; an integrand past the float range raises ValueError.
     """
-    gamma = _mode_sandwich_profile(system, phis)
+    density = _mode_sandwich_profile(system, phis)
 
-    def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
-        return _rows_times(gamma(k_par, k_perp), weight(k_par))
+    def integrand(q: np.ndarray, q_perp: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _rows_times(density(q, q_perp), weight(q))
+        if not np.isfinite(values).all():
+            raise ValueError(f"emission integrand must be finite at xi = {system.xi!r}")
+        return values
 
-    return integrate_k_par(integrand, system.omega_a, system.separation, config)
+    return integrate_k_par(integrand, system.xi, config)
 
 
-def _recoil_weight(k_par: np.ndarray) -> np.ndarray:
-    return hbar * k_par * k_par  # photon momentum hbar k_par times measure k_par
+def _recoil_rate(system: TwoAtomSystem, phis, config: QuadratureConfig | None):
+    """R(phi): the density weighted by hbar k_par k_par dk_par is 8 pi xi q^2 dq per prefactor."""
+    momentum = 8.0 * math.pi * system.xi
+    moment = _k_par_moment(system, lambda q: momentum * q * q, phis, config)
+    return recoil_rate_prefactor(system) * moment
 
 
 def recoil_rate_quadrature(
     system: TwoAtomSystem, phi: float, config: QuadratureConfig | None = None
 ) -> float:
-    """Recoil rate by direct quadrature of hbar k_par times the density."""
+    """Recoil rate by direct quadrature of hbar k_par times the density.
+
+    The rule integrates the six harmonic coefficients, so its error control
+    scales with the spectrum, not with an R(phi) that nearly cancels.
+    """
     _require_float_separation(system, "recoil_rate_quadrature")
     _require_finite("phi", phi)
-    return float(_k_par_moment(system, _recoil_weight, phi, config))
+    return float(_azimuth_harmonics(phi) @ _recoil_rate(system, None, config))
 
 
 def recoil_rate_profile(
@@ -262,7 +270,7 @@ def recoil_rate_profile(
     """
     _require_float_separation(system, "recoil_rate_profile")
     phis = _azimuths(n_phi)
-    return phis, _k_par_moment(system, _recoil_weight, phis, config).real
+    return phis, _recoil_rate(system, phis, config)
 
 
 def assisted_rate_correction_quadrature(
@@ -276,8 +284,9 @@ def assisted_rate_correction_quadrature(
     """
     _require_float_separation(system, "assisted_rate_correction_quadrature")
     phis = _azimuths(32)
-    total = _k_par_moment(system, lambda k_par: k_par, phis, config)
-    return float(np.sum(total.real) * (2.0 * math.pi / len(phis)))
+    total = _k_par_moment(system, lambda q: q, phis, config)
+    rate = np.sum(total) * (2.0 * math.pi / len(phis))
+    return float(system.separation * _closed_form_scale(system) * rate / hbar)
 
 
 def emission_spectrum(system: TwoAtomSystem, n_phi: int) -> EmissionSpectrum:

@@ -112,31 +112,28 @@ def lateral_force_closed_form(system: TwoAtomSystem, p1: float) -> float | np.nd
     return hand * p1 * _closed_form_scale(system) * lateral_force_shape(system.xi)
 
 
-# The SI sandwich d10 . G(r, r_B) alpha_B G(r_B, r_A) . d01 of the assisted decay
-# rate and the mode-resolved emission density; resonant_forces works in units of r.
-
-
-def _coupling(omega: float) -> float:
-    """2 mu0^2 omega^4: the sandwich times this is hbar times a rate (imaginary part)."""
-    _require_positive("omega", omega, high=_FOURTH_POWER_LIMIT)
-    return 2.0 * mu_0**2 * omega**4
-
-
-def _legs(system: TwoAtomSystem) -> tuple:
-    """The leg G(r_A, r_B) . d01 and the contraction G(r_A, r_B) . v.
-
-    The leg is (3,), or (N, 3) for N separations; alpha_B times it is the
-    return leg alpha_B G(r_B, r_A) . d01, since the free G is even in the
-    displacement, bit for bit.  For dynamics.assisted_decay_rate and
-    emission._mode_sandwich_profile; xi must lie above greens._XI_FLOOR.
-    """
-    _require_positive("xi", system.xi, low=_XI_FLOOR)
-    apply, _ = _contractions(system.position_a, system.position_b, system.xi)
-    return apply(np.conj(system.dipole_a)), apply
-
-
 # Below this xi the xi^5 shapes, of amplitude at most |d/d|^2 = 2, stay under max/2.
 _SHAPE_XI_HIGH = (float(np.finfo(float).max) / 4.0) ** 0.2
+
+
+def _unit_leg(system: TwoAtomSystem) -> tuple:
+    """(d10, leg, apply, gradient): the one leg of every resonant route, in units of r.
+
+    B sits at -z at distance 1, xi stands for omega r / c and d10 = d/d,
+    d^2 = |d|^2 / 2, is the unit dipole.  The leg xi^2 G . d01, (3,) or
+    (N, 3), is also the return leg, since G is even in r_A - r_B; apply and
+    gradient are greens._contractions of G.  xi must lie in
+    (greens._XI_FLOOR, _SHAPE_XI_HIGH), about (2.9e-154, 3.4e61), where the
+    1/xi^2 terms and the xi^5 shapes stay finite.
+    """
+    xi = system.xi
+    _require_positive("xi", xi, low=_XI_FLOOR, high=_SHAPE_XI_HIGH)
+    # Part by part: complex division would multiply by an inexact 1/d.
+    d = math.sqrt(np.vdot(system.dipole_a, system.dipole_a).real / 2.0)
+    d10 = system.dipole_a.real / d + 1j * (system.dipole_a.imag / d)
+    apply, gradient = _contractions(np.zeros(3), (0.0, 0.0, _ATOM_B_SIDE), xi)
+    leg = np.asarray(xi * xi)[..., None] * apply(np.conj(d10))
+    return d10, leg, apply, gradient
 
 
 def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, ForceResult]:
@@ -151,28 +148,19 @@ def resonant_forces(system: TwoAtomSystem, p1: float) -> tuple[ForceResult, Forc
     at r = r_B.  The phase factors of F_B cancel pairwise, which removes
     both its lateral component and the standing-wave oscillation in z.
 
-    The shapes are computed directly in units of r (B at -z at distance 1,
-    xi for omega r / c, the unit dipole d/d with d^2 = |d|^2 / 2): with
+    The shapes are computed directly in units of r (_unit_leg): with
     mu0 eps0 c^2 = 1, each shape is 16 pi^2 xi^2 Re[l . grad G . xi^2 G . w]
     and each force p1 times the closed-form scale times it, with no SI
     product.  G is even in r_A - r_B and its gradient odd, so one leg
-    xi^2 G . d01 and one gradient (greens._contractions) serve both: (l, w)
-    is (d10, leg) for A and, negated, (leg*, d01) for B.  N separations give
-    (N, 3) results.  xi must lie in (greens._XI_FLOOR, _SHAPE_XI_HIGH),
-    about (2.9e-154, 3.4e61), where the 1/xi^2 terms and the xi^5 shapes
-    stay finite; a force past the float range raises ValueError too.
+    xi^2 G . d01 and one gradient serve both: (l, w) is (d10, leg) for A
+    and, negated, (leg*, d01) for B.  N separations give (N, 3) results;
+    xi must lie in _unit_leg's range, and a force past max raises ValueError.
     """
     _population_valid(p1)
     xi = system.xi
-    _require_positive("xi", xi, low=_XI_FLOOR, high=_SHAPE_XI_HIGH)
-    # Part by part: complex division would multiply by an inexact 1/d.
-    d = math.sqrt(np.vdot(system.dipole_a, system.dipole_a).real / 2.0)
-    d10 = system.dipole_a.real / d + 1j * (system.dipole_a.imag / d)
-    apply, gradient = _contractions(np.zeros(3), (0.0, 0.0, _ATOM_B_SIDE), xi)
-    x2 = np.asarray(xi * xi)[..., None]
-    leg = x2 * apply(np.conj(d10))
+    d10, leg, _, gradient = _unit_leg(system)
     sandwiches = np.stack([gradient(d10, leg), -gradient(np.conj(leg), np.conj(d10))])
-    shapes = 16.0 * math.pi**2 * x2 * sandwiches.real
+    shapes = 16.0 * math.pi**2 * np.asarray(xi * xi)[..., None] * sandwiches.real
     scale = _closed_form_scale(system)
     with np.errstate(over="ignore"):
         forces = p1 * np.asarray(scale)[..., None] * shapes

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .constants import _OMEGA_FLOOR, _require_finite, _require_positive, c
+from .constants import _require_finite, _require_positive, c
 from .quadrature import (
     QuadratureConfig,
     integrate_angle,
@@ -195,9 +195,9 @@ def greens_free_gradient(r_from, r_to, omega: float) -> np.ndarray:
     return _greens_gradient(r_from, r_to, omega)
 
 
-def _mode_node(dz: float, k_perp):
-    """The node factor i e^{i k_perp |dz|} / (8 pi^2 k_perp) of every mode weight."""
-    return 1j / (8.0 * math.pi**2 * k_perp) * np.exp(1j * abs(dz) * k_perp)
+def _mode_node(dz: float, q_perp):
+    """The node factor i e^{i q_perp |dz|} / (8 pi^2 q_perp) of a mode weight, in units of k."""
+    return 1j / (8.0 * math.pi**2 * q_perp) * np.exp(1j * abs(dz) * q_perp)
 
 
 def _azimuth_harmonics(phi: float | np.ndarray) -> np.ndarray:
@@ -211,59 +211,52 @@ def _azimuth_harmonics(phi: float | np.ndarray) -> np.ndarray:
                      sin_p * sin_p])
 
 
-# The one home of the mode tensor I - (c/omega)^2 k k: its entries xx, xy,
-# xz, yy, yz, zz are the _mode_monomials (m) and the _azimuth_harmonics (h)
+# The one home of the mode tensor I - q q, q the wave vector over k: its entries
+# xx, xy, xz, yy, yz, zz are the _mode_monomials (m) and the _azimuth_harmonics (h)
 # contracted with the 0/1 table _MODE_TABLE[m, h, entry].  Two consumers
 # contract it: _mode_level_sum below and emission._mode_sandwich_profile.
 _MODE_TABLE = np.zeros((4, 6, 6))
 _MODE_TABLE[tuple(np.transpose([
     (0, 0, 0), (0, 0, 3), (0, 0, 5),  # 1: the identity
-    (1, 0, 5),  # k_z^2: zz
-    (2, 1, 2), (2, 2, 4),  # k_par k_z: cos for xz, sin for yz
-    (3, 3, 0), (3, 4, 1), (3, 5, 3),  # k_par^2: cos^2 for xx, cos sin for xy, sin^2 for yy
+    (1, 0, 5),  # q_z^2: zz
+    (2, 1, 2), (2, 2, 4),  # q q_z: cos for xz, sin for yz
+    (3, 3, 0), (3, 4, 1), (3, 5, 3),  # q^2: cos^2 for xx, cos sin for xy, sin^2 for yy
 ]))] = 1.0
 
 
-def _mode_monomials(k_par, k_z, omega: float) -> np.ndarray:
-    """The monomials (1, k_z^2, k_par k_z, k_par^2) of _MODE_TABLE; all but 1 times -(c/omega)^2.
+def _mode_monomials(q, q_z) -> np.ndarray:
+    """The monomials (1, -q_z^2, -q q_z, -q^2) of _MODE_TABLE, on a new last axis.
 
-    k_par and k_z = sign(dz) k_perp share one shape; the result adds an axis of 4.
+    q = k_par/k and q_z = sign(dz) q_perp share one shape.
     """
-    scale = -((c / omega) ** 2)
-    scaled_z, scaled_par = scale * k_z, scale * k_par
-    monomials = np.empty(np.shape(k_z) + (4,), dtype=complex)
-    monomials[..., 0] = 1.0
-    monomials[..., 1] = scaled_z * k_z
-    monomials[..., 2] = scaled_par * k_z
-    monomials[..., 3] = scaled_par * k_par
-    return monomials
+    minus_z = -q_z
+    return np.stack([np.ones_like(minus_z), minus_z * q_z, minus_z * q, -q * q], axis=-1)
 
 
-def _mode_level_sum(dx: float, dy: float, dz: float, omega: float, k_par: np.ndarray,
-                    k_perp: np.ndarray):
-    """Level sums of the mode tensors of (K,) nodes, as a function of the level.
+def _mode_level_sum(dx: float, dy: float, dz: float, q: np.ndarray, q_perp: np.ndarray):
+    """Level sums of the mode tensors of (K,) nodes q, as a function of the level.
 
-    The returned callable takes the (P,) azimuths of one level and gives the
-    sum of w (I - (c/omega)^2 k k) over them as (K, 6) rows of the entries
-    xx, xy, xz, yy, yz, zz, which ``_SYMMETRIC`` spreads to nine.  w is the
-    node factor times the lateral phase e^{i k_par t}, t = dx cos phi + dy sin phi,
-    so a level contracts the node factor times the _mode_monomials, set up
-    once, and the (K, 6) moments of the phase against the harmonics through
-    _MODE_TABLE.  The level must be closed
+    The displacement is in units of 1/k.  The returned callable takes the
+    (P,) azimuths of one level and gives the sum of w (I - q q) over them as
+    (K, 6) rows of the entries xx, xy, xz, yy, yz, zz, which ``_SYMMETRIC``
+    spreads to nine.  w is the node factor times the lateral phase e^{i q t},
+    t = dx cos phi + dy sin phi, so a level contracts the node factor times
+    the _mode_monomials, set up once, and the (K, 6) moments of the phase
+    against the harmonics through _MODE_TABLE.  The level must be closed
     under phi -> phi + pi with the shifted half last, as every level of
     integrate_angle is.  There t and the odd harmonics (cos, sin) flip sign,
-    so the even moments are 2 cos(k_par t) and the odd ones 2i sin(k_par t)
+    so the even moments are 2 cos(q t) and the odd ones 2i sin(q t)
     over the first half: real cos and sin, no complex exp.
     """
-    k_z = math.copysign(1.0, dz) * k_perp
-    monomials = (2.0 * _mode_node(dz, k_perp))[:, None] * _mode_monomials(k_par, k_z, omega)
-    k_col = k_par[:, None]
+    q_z = math.copysign(1.0, dz) * q_perp
+    monomials = (2.0 * _mode_node(dz, q_perp))[:, None] * _mode_monomials(q, q_z)
+    q_col = q[:, None]
     table = _MODE_TABLE.reshape(24, 6).astype(complex)
 
     def level_sum(phis: np.ndarray) -> np.ndarray:
         harmonics = _azimuth_harmonics(phis[: len(phis) // 2])
-        arg = k_col * (dx * harmonics[1] + dy * harmonics[2])
-        moments = np.zeros((len(k_par), 6), dtype=complex)
+        arg = q_col * (dx * harmonics[1] + dy * harmonics[2])
+        moments = np.zeros((len(q), 6), dtype=complex)
         moments.real[:, _EVEN] = np.cos(arg) @ harmonics[_EVEN].T
         moments.imag[:, 1:3] = np.sin(arg) @ harmonics[1:3].T
         return (monomials[:, :, None] * moments[:, None, :]).reshape(-1, 24) @ table
@@ -276,25 +269,29 @@ def greens_free_from_modes(delta_r, omega: float,
     """Closed-form tensor rebuilt by quadrature over its cylindrical modes.
 
     Serves as the independent numerical route against greens_free; the
-    azimuthal integral runs first, for each batch of k_par nodes at once,
-    then one adaptive rule integrates the k_par axis over both sides of the
-    light line, so each round runs one azimuth integral for the new nodes
-    of both.
+    azimuthal integral runs first, for each batch of q = k_par/k nodes at
+    once, then one adaptive rule integrates the q axis over both sides of
+    the light line, so each round runs one azimuth integral for the new
+    nodes of both.  The modes integrate to |delta_r| G, of order 1/xi^2 as
+    the closed form, xi = k |delta_r| above _XI_FLOOR.
     """
-    _require_positive("omega", omega, low=_OMEGA_FLOOR)  # (c/omega)^2 stays finite
+    _require_positive("omega", omega)
     _require_finite("delta_r", delta_r)
-    dx, dy, dz = np.asarray(delta_r, dtype=float)
-    if dz == 0.0:
+    distance = math.hypot(*delta_r)
+    dx, dy, dz = omega / c * np.asarray(delta_r, dtype=float)  # in units of 1/k
+    if delta_r[2] == 0.0:
         raise ValueError("mode resolution requires a nonzero z displacement")
+    xi = math.hypot(dx, dy, dz)
+    _require_positive("k |delta_r|", xi, low=_XI_FLOOR)
 
-    def integrand(k_par: np.ndarray, k_perp: np.ndarray) -> np.ndarray:
-        # One azimuth integral for the whole batch of K nodes.
-        return k_par[:, None] * integrate_angle(
-            _mode_level_sum(dx, dy, dz, omega, k_par, k_perp), config
+    def integrand(q: np.ndarray, q_perp: np.ndarray) -> np.ndarray:
+        # One azimuth integral per batch of K nodes; xi q dq turns G / k into |delta_r| G.
+        return (xi * q)[:, None] * integrate_angle(
+            _mode_level_sum(dx, dy, dz, q, q_perp), config
         )
 
     # The rule runs over the six distinct entries: the repeated ones would
     # change neither the sums nor the max-norm error control.
-    total = integrate_k_par(integrand, omega, abs(dz), config)
-    return total[_SYMMETRIC].reshape(3, 3)
+    total = integrate_k_par(integrand, abs(dz), config)
+    return total[_SYMMETRIC].reshape(3, 3) / distance
 

@@ -1,11 +1,10 @@
 """Quadrature over the lateral-momentum plane and over the azimuth.
 
-integrate_k_par integrates k_par over [0, infinity) in one QUADPACK QAG
-rule with the G10/K21 pair (Piessens et al., QUADPACK, Springer 1983),
-split at the light line k = omega/c.  On the propagating side
-k_par = k sin(theta) removes the 1/k_perp endpoint singularity exactly; on
-the evanescent side k_par = k cosh(u) does the same, and the integral is
-truncated once exp(-kappa r) has fallen by 40 e-folds.  One abscissa t
+integrate_k_par integrates q = k_par/k over [0, infinity) in one QUADPACK
+QAG rule with the G10/K21 pair (Piessens et al., QUADPACK, Springer 1983),
+split at the light line q = 1.  q = sin(theta) on the propagating side and
+q = cosh(u) on the evanescent one remove the 1/q_perp endpoint singularity
+exactly, and exp(-kappa xi), xi = k r, is cut after 40 e-folds.  One abscissa t
 covers both sides, theta = t on [0, pi/2] and u = -t on [-u_max, 0], so a
 node's sign names its side.  Each round bisects the panels with the
 largest error estimates, never across t = 0, and evaluates all of their
@@ -21,8 +20,9 @@ successive refinements act as the error estimate.
 
 Everything here is generic plumbing, set only by the two tolerances of a
 frozen QuadratureConfig; the physics lives in the integrands the callers
-pass in.  The k_par integrands take (k_par, k_perp) as (N,) arrays with
-the branch Im k_perp >= 0 already resolved, and return values with a
+pass in, dimensionless: each caller multiplies its integral by one SI
+scale.  The k_par integrands take (q, q_perp), q_perp = k_perp/k, as
+(N,) arrays on the branch Im q_perp >= 0, and return values with a
 leading axis over the N nodes, (N,) or (N, ...).  The azimuth integrand
 takes the (P,) azimuths of one refinement level and returns the sum of
 its values over them.
@@ -40,7 +40,7 @@ import numpy as np
 # "import lateralvdw"`` and raises KeyError if the package stops loading it.
 import scipy.integrate  # noqa: F401
 
-from .constants import _require_positive, c
+from .constants import _require_positive
 
 __all__ = [
     "QuadratureConfig",
@@ -56,10 +56,10 @@ _EPS = float(np.finfo(float).eps)
 class QuadratureConfig:
     """The two tolerances of every rule: it stops below max(abs_tol, rel_tol max|I|).
 
-    abs_tol is in the integral's own SI units: the default 1e-14 lies far
-    above the recoil integrals (|R| <= 2e-25 N/rad), which then stop after
-    one call and drift from xi = 60 on (README "Input domain").  For rel_tol
-    to act, set abs_tol below rel_tol |I|.
+    The integrals are dimensionless, so abs_tol is in units of each route's
+    SI scale (recoil_rate_prefactor for the recoil routes, r scale / hbar
+    for the assisted rate, 1/|delta_r| for the mode rebuild of G) and means
+    the same at every (omega, r) with the same xi.
     """
 
     rel_tol: float = 1e-9
@@ -234,24 +234,24 @@ def _rows_times(values, weights: np.ndarray) -> np.ndarray:
     return values * weights.reshape(weights.shape + (1,) * (values.ndim - 1))
 
 
-def _k_par_rule(f, k: float, sides, cfg: QuadratureConfig):
-    """Integral of f(k_par, k_perp) over the sides of the light line k_par = k.
+def _k_par_rule(f, sides, cfg: QuadratureConfig):
+    """Integral of f(q, q_perp) over the sides of the light line q = k_par/k = 1.
 
     ``sides`` lists the (a, b) intervals of the abscissa t to integrate: t is
-    theta (k_perp = k cos(theta)) on the propagating side and -u
-    (k_perp = i kappa, kappa = k sinh(u)) on the evanescent one.  The
-    Jacobian, k_perp or kappa, multiplies f and cancels its 1/k_perp
+    theta (q_perp = cos(theta)) on the propagating side and -u
+    (q_perp = i kappa, kappa = sinh(u)) on the evanescent one.  The
+    Jacobian, q_perp or kappa, multiplies f and cancels its 1/q_perp
     branch-point singularity.
     """
 
     def g(t):
         u = -t
         evanescent = t < 0.0
-        kappa = k * np.sinh(u)
-        k_perp = k * np.cos(t)
-        k_par = k * np.where(evanescent, np.cosh(u), np.sin(t))
-        values = f(k_par, np.where(evanescent, 1j * kappa, k_perp + 0j))
-        return _rows_times(values, np.where(evanescent, kappa, k_perp))
+        kappa = np.sinh(u)
+        q_perp = np.cos(t)
+        q = np.where(evanescent, np.cosh(u), np.sin(t))
+        values = f(q, np.where(evanescent, 1j * kappa, q_perp + 0j))
+        return _rows_times(values, np.where(evanescent, kappa, q_perp))
 
     a, b = zip(*sides)
     return _qag(g, a, b, cfg)
@@ -259,26 +259,25 @@ def _k_par_rule(f, k: float, sides, cfg: QuadratureConfig):
 
 # The sides of _k_par_rule as intervals of t: theta in [0, pi/2], and -u
 # for u in [0, u_max], where u_max keeps _TAIL_EFOLDS e-folds of the tail
-# exp(-kappa distance).
+# exp(-kappa xi).
 _PROPAGATING = (0.0, 0.5 * math.pi)
 
 
-def _evanescent_side(k: float, distance: float) -> tuple:
-    return -math.asinh(_TAIL_EFOLDS / (k * distance)), 0.0
+def _evanescent_side(xi: float) -> tuple:
+    return -math.asinh(_TAIL_EFOLDS / xi), 0.0
 
 
-def integrate_k_par(f, omega: float, distance: float, config: QuadratureConfig | None = None):
-    """Integral of f(k_par, k_perp) over k_par in [0, infinity), in one adaptive rule.
+def integrate_k_par(f, xi: float, config: QuadratureConfig | None = None):
+    """Integral of f(q, q_perp) over q = k_par/k in [0, infinity), in one adaptive rule.
 
-    _k_par_rule over both sides of the light line: the panels of both share
-    one rule, each round evaluates the new nodes of both in one call of f,
-    and the error control acts on the sum.  No panel crosses the light line.
+    _k_par_rule over both sides of the light line, with the tail
+    exp(-kappa xi) cut at _TAIL_EFOLDS: the panels of both share one rule,
+    each round evaluates the new nodes of both in one call of f, and the
+    error control acts on the sum.  No panel crosses the light line.
     """
     cfg = config or _DEFAULT
-    _require_positive("omega", omega)
-    _require_positive("distance", distance)
-    k = omega / c
-    return _k_par_rule(f, k, (_PROPAGATING, _evanescent_side(k, distance)), cfg)
+    _require_positive("xi", xi)
+    return _k_par_rule(f, (_PROPAGATING, _evanescent_side(xi)), cfg)
 
 
 def integrate_angle(f, config: QuadratureConfig | None = None):

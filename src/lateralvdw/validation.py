@@ -135,7 +135,7 @@ def run_identity_checks(
         _check(
             "recoil-force-identity",
             _recoil_identity_error(system, cfg, f3_scale),
-            1e-8,
+            1e-9,
             "cos-phi moment of the quadrature spectrum vs closed-form force",
         ),
         _check(

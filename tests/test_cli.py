@@ -379,6 +379,21 @@ def test_force_curve_is_finite_down_to_the_near_field(tmp_path, monkeypatch, con
     assert np.all(np.abs(f_z_b + f_z_a) <= 1e-12 * np.abs(f_z_a))
 
 
+def test_driven_velocity_just_above_the_xi_floor_warns_of_nothing(tmp_path, monkeypatch, capsys):
+    # xi is about 3e-154.  The decay rate that the drive is checked against
+    # once overflowed here and raised a false weak-excitation warning.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "wavelength = 2e145\nrabi = 2e7\ndetuning = 1e9\nr_min = 1e-9\nr_max = 2e-9\npoints = 2\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["velocity", "--config", "run.cfg", "--output", "out.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    _, _, body = read_table(tmp_path / "out.csv")
+    assert len(body) == 2 and np.isfinite(np.array(body, dtype=float)).all()
+
+
 def test_validate_checks_the_configured_system(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     received = []

@@ -1,6 +1,7 @@
 """Decay rates, driven populations, and the velocity estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def test_assisted_correction_frozen_value():
     assert rates.gamma_total == pytest.approx(
         rates.gamma_free + rates.gamma_correction, rel=1e-14
     )
+
+
+def test_assisted_correction_is_finite_just_above_the_xi_floor():
+    # xi is about 3.1e-154 here.  The SI leg G . d01 grows like
+    # 3 / (4 pi r xi^2) and overflowed at r = 1e-9 m; in units of r it stays
+    # finite, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = assisted_decay_rate(TwoAtomSystem.cs_rb(1e-9, wavelength=2e145))
+    assert math.isfinite(rates.gamma_correction) and math.isfinite(rates.gamma_total)
 
 
 def test_assisted_correction_oscillates_with_separation():

@@ -23,10 +23,10 @@ from lateralvdw import (
     recoil_rate_quadrature,
     spectrum_coefficients,
 )
-from lateralvdw.constants import c, hbar
+from lateralvdw.constants import c, hbar, mu_0
 from lateralvdw.dynamics import assisted_decay_rate
 from lateralvdw.emission import _mode_sandwich_profile
-from lateralvdw.forces import _coupling
+from lateralvdw.system import _closed_form_scale
 
 # xi -> (f1, f2, f3); mpmath at 40 digits through the Bessel closed forms.
 COEFF_REFERENCE = {
@@ -94,9 +94,13 @@ def test_profile_agrees_with_pointwise_quadrature():
 
 def test_pointwise_quadrature_reaches_requested_precision():
     # One adaptive pass over the real density; asked for 1e-11, it must land
-    # within 1e-10 of the spectrum scale across the oracle range of xi.
-    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-30)
-    for xi in np.geomspace(0.3, 20.0, 25):
+    # within 1e-10 of the spectrum scale across the oracle range of xi.  On
+    # to xi = 200, where an absolute tolerance in SI units once stopped the
+    # rule after one call, it is asked for 1e-10: the rule's rounding floor,
+    # 50 eps times the integral of |f| over its panels, passes 1e-11 of |R|
+    # from about xi = 150 on, and the rule raises rather than claim 1e-11.
+    for xi in np.geomspace(0.3, 200.0, 38):  # the spacing of 25 points on [0.3, 20]
+        cfg = QuadratureConfig(rel_tol=1e-11 if xi <= 20.0 else 1e-10, abs_tol=1e-30)
         system = system_at_xi(float(xi))
         scale = recoil_rate_prefactor(system) * sum(
             abs(f) for f in spectrum_coefficients(system.xi)
@@ -104,6 +108,20 @@ def test_pointwise_quadrature_reaches_requested_precision():
         for phi in np.linspace(0.0, math.pi, 5):
             quadrature = recoil_rate_quadrature(system, float(phi), cfg)
             assert abs(quadrature - recoil_rate(system, phi)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("xi", [60.0, 200.0])
+def test_default_tolerances_control_the_recoil_profile_at_large_xi(xi: float):
+    # abs_tol is in units of recoil_rate_prefactor, so the default config's
+    # 1e-14 no longer sits far above the integral and switches the error
+    # control off (the SI route erred by 1.9e-3 and 1.9e2 here).
+    system = system_at_xi(xi)
+    scale = recoil_rate_prefactor(system) * sum(
+        abs(f) for f in spectrum_coefficients(system.xi)
+    )
+    phis, rates = recoil_rate_profile(system, 32)
+    closed = np.array([recoil_rate(system, phi) for phi in phis])
+    assert np.max(np.abs(rates - closed)) <= 1e-9 * scale
 
 
 def test_profile_mirror_symmetry():
@@ -201,6 +219,7 @@ def test_asymmetry_flips_with_handedness():
 def test_density_integral_reproduces_assisted_correction():
     # One k_par quadrature per azimuth through the density at a float phi:
     # polar measure k_par dk_par dphi with a 32-point periodic trapezoid in phi.
+    # The density is in units of r _closed_form_scale / hbar per q dq dphi.
     system = system_at_xi(1.0)
     closed = assisted_decay_rate(system).gamma_correction
     n_phi = 32
@@ -208,9 +227,9 @@ def test_density_integral_reproduces_assisted_correction():
     total = 0.0
     for j in range(n_phi):
         density = _mode_sandwich_profile(system, 2.0 * math.pi * j / n_phi)
-        f = lambda kp, kz: kp * density(kp, kz)
-        total += integrate_k_par(f, system.omega_a, system.separation, cfg).real
-    total *= 2.0 * math.pi / n_phi
+        f = lambda q, q_perp: q * density(q, q_perp)
+        total += integrate_k_par(f, system.xi, cfg).real
+    total *= 2.0 * math.pi / n_phi * system.separation * _closed_form_scale(system) / hbar
     assert total == pytest.approx(closed, rel=1e-7)
 
 
@@ -221,7 +240,9 @@ def test_assisted_correction_quadrature_matches_closed_form():
     assert quadrature == pytest.approx(closed, rel=1e-8)
 
 
-def test_density_linear_in_polarizability(k_perp_of):
+def test_density_linear_in_polarizability():
+    # alpha_B enters through the rate scale alone: the dimensionless density
+    # is the same, and the rate it integrates to halves with alpha_B.
     base = system_at_xi(1.0)
     halved = TwoAtomSystem(
         omega_a=base.omega_a,
@@ -229,11 +250,13 @@ def test_density_linear_in_polarizability(k_perp_of):
         alpha_b=0.5 * base.alpha_b,
         separation=base.separation,
     )
-    for k_par, phi in ((0.3 * base.omega_a / 3e8, 0.0), (2e6, 1.1)):
-        k_perp = k_perp_of(k_par, base.omega_a)
-        full = _mode_sandwich_profile(base, phi)(k_par, k_perp)
-        half = _mode_sandwich_profile(halved, phi)(k_par, k_perp)
-        assert half == pytest.approx(0.5 * full, rel=1e-12)
+    for q, phi in ((0.3 * c / 3e8, 0.0), (2e6 * c / base.omega_a, 1.1)):
+        q_perp = np.sqrt(complex(1.0 - q * q))
+        full = _mode_sandwich_profile(base, phi)(q, q_perp)
+        half = _mode_sandwich_profile(halved, phi)(q, q_perp)
+        assert half == full
+    full = assisted_rate_correction_quadrature(base)
+    assert assisted_rate_correction_quadrature(halved) == pytest.approx(0.5 * full, rel=1e-12)
 
 
 @pytest.mark.parametrize("phis", [1.1, 2.0 * math.pi * np.arange(7) / 7], ids=["float", "array"])
@@ -244,26 +267,48 @@ def test_density_linear_in_polarizability(k_perp_of):
 def test_mode_sandwich_matches_tensor_contraction(
     phis, k_ratio, mode_tensor_reference, k_perp_of
 ):
-    # The table-built sandwich against d10 . T . back on the dyad reference.
+    # The table-built sandwich against the SI density
+    # (2 mu0^2 / hbar) omega^4 Im[d10 . T . back] on the dyad reference, per
+    # k_par dk_par dphi; the route's density is per q dq dphi in units of
+    # r _closed_form_scale / hbar, q = k_par / k.
     system = system_at_xi(1.3, "left")
     omega = system.omega_a
-    k_par = k_ratio * omega / c
-    if np.ndim(k_par):
-        k_perp = np.array([k_perp_of(k, omega) for k in k_par])
+    k = omega / c
+    q = k_ratio
+    if np.ndim(q):
+        q_perp = np.array([k_perp_of(ratio, c) for ratio in q])
     else:
-        k_perp = k_perp_of(k_par, omega)
+        q_perp = k_perp_of(q, c)
+    k_par, k_perp = k * q, k * q_perp
     delta = system.position_a - system.position_b
     back = system.alpha_b * (greens_free(system.position_b, system.position_a, omega)
                              @ np.conj(system.dipole_a))
     contracted = np.array([
-        [system.dipole_a @ mode_tensor_reference(delta, omega, k, kz, phi) @ back
+        [system.dipole_a @ mode_tensor_reference(delta, omega, kp, kz, phi) @ back
          for phi in np.ravel(phis)]
-        for k, kz in zip(np.ravel(k_par), np.ravel(k_perp))
+        for kp, kz in zip(np.ravel(k_par), np.ravel(k_perp))
     ]).reshape(np.shape(k_par) + np.shape(phis))
-    expected = _coupling(omega) / hbar * contracted.imag
-    got = _mode_sandwich_profile(system, phis)(k_par, k_perp)
+    expected = 2.0 * mu_0**2 * omega**4 / hbar * contracted.imag
+    rate_scale = system.separation * _closed_form_scale(system) / hbar
+    got = _mode_sandwich_profile(system, phis)(q, q_perp) * (rate_scale / (k * k))
     assert np.shape(got) == np.shape(expected) == np.shape(k_par) + np.shape(phis)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_assisted_rate_matches_the_si_sandwich_of_greens_free():
+    # gamma_correction in units of r against (2 mu0^2 / hbar) omega^4
+    # Im[(G . d10) . (alpha_B G . d01)] built from the SI tensor, relative to
+    # the magnitude of that product.
+    for xi in np.geomspace(1e-3, 1e3, 61):
+        system = system_at_xi(float(xi))
+        omega, d10 = system.omega_a, system.dipole_a
+        tensor = greens_free(system.position_a, system.position_b, omega)
+        back = system.alpha_b * (tensor @ np.conj(d10))
+        coupling = 2.0 * mu_0**2 * omega**4 / hbar
+        expected = coupling * ((tensor @ d10) @ back).imag
+        magnitude = coupling * (np.abs(d10) @ np.abs(tensor) @ np.abs(back))
+        got = assisted_decay_rate(system).gamma_correction
+        assert abs(got - expected) <= 1e-14 * magnitude
 
 
 def test_near_field_expansion_accuracy():

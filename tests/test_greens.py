@@ -141,11 +141,12 @@ def test_mode_expansion_reproduces_closed_form_off_axis():
 
 
 def test_axial_mode_ignores_lateral_displacement():
-    # At k_par = 0 the plane wave runs along z only.
-    k_par, k_perp = np.array([0.0]), np.array([OMEGA / c + 0j])
+    # At k_par = 0 the plane wave runs along z only; displacements in units of 1/k.
+    k = OMEGA / c
+    q, q_perp = np.array([0.0]), np.array([1.0 + 0j])
     phis = 2.0 * math.pi * np.arange(16) / 16
-    base = _mode_level_sum(0.0, 0.0, 400e-9, OMEGA, k_par, k_perp)(phis)
-    moved = _mode_level_sum(9e-7, -3e-7, 400e-9, OMEGA, k_par, k_perp)(phis)
+    base = _mode_level_sum(0.0, 0.0, k * 400e-9, q, q_perp)(phis)
+    moved = _mode_level_sum(k * 9e-7, k * -3e-7, k * 400e-9, q, q_perp)(phis)
     assert np.allclose(base, moved, rtol=0.0, atol=np.max(np.abs(base)) * 1e-15)
 
 
@@ -214,8 +215,7 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: greens_free(np.zeros(3), delta, bad),
         lambda: greens_free_gradient(np.zeros(3), delta, bad),
         lambda: greens_free_from_modes(delta, bad),
-        lambda: integrate_k_par(lambda k_par, k_perp: k_par, bad, 1e-6),
-        lambda: integrate_k_par(lambda k_par, k_perp: k_par, OMEGA, bad),
+        lambda: integrate_k_par(lambda q, q_perp: q, bad),
         lambda: TwoAtomSystem(bad, peak_system.dipole_a, peak_system.alpha_b, 632e-9),
         lambda: TwoAtomSystem.cs_rb(632e-9, mass_a=bad),
         # 2 pi c / 1e-320 overflows to an infinite frequency.
@@ -232,14 +232,14 @@ def test_non_finite_input_is_rejected_at_the_boundary(bad: float, peak_system):
         lambda: nonresonant_force(peak_system, resonance_wavelength_b=bad),
         lambda: impulse_velocity_single_shot(peak_system, DecayRates(bad, 0.0)),
         # Finite, but past the closed forms' float range: xi^4, Y_2 and f1
-        # overflow there, and omega^4 in the resonant coupling.
+        # overflow there, and the xi^5 shapes of the resonant routes.
         lambda: lateral_force_shape(1e78),
         lambda: spectrum_coefficients(1e-160),
         lambda: spectrum_coefficients(1e200),
         lambda: resonant_forces(far_ultraviolet, 1.0),
         lambda: assisted_decay_rate(far_ultraviolet),
         # xi = 3e-316 lies below greens._XI_FLOOR, where 1/xi^2 overflows, and
-        # omega = 1e-200 below the _OMEGA_FLOOR of (c/omega)^2.
+        # so does k |delta_r| at omega = 1e-200.
         lambda: greens_free(np.zeros(3), delta, 1e-300),
         lambda: greens_free_gradient(np.zeros(3), delta, 1e-300),
         lambda: greens_free_from_modes(delta, 1e-200),
@@ -279,18 +279,21 @@ def test_mode_tensor_over_phi_array_matches_per_phi_calls(
 ):
     # One level of 13 azimuths and their shifts by pi against 13 two-azimuth
     # levels, and each of those against the dyad reference at phi and phi + pi.
-    k_par = np.array([k_ratio * OMEGA / c])
-    k_perp = np.array([k_perp_of(k_par[0], OMEGA)])
+    # The level sums are in units of 1/k: k times the SI reference.
+    k = OMEGA / c
+    q = np.array([k_ratio])
+    q_perp = np.array([k_perp_of(k_ratio, c)])
+    k_par, k_perp = k * q, k * q_perp
     phis = np.linspace(0.0, 2.0 * math.pi, 13)
     for dz in (-0.8, 0.8):
         delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
-        level_sum = _mode_level_sum(*delta, OMEGA, k_par, k_perp)
+        level_sum = _mode_level_sum(*(k * delta), q, q_perp)
         stacked = level_sum(np.concatenate([phis, phis + math.pi]))[0, _SYMMETRIC]
         singles = [level_sum(np.array([phi, phi + math.pi]))[0, _SYMMETRIC] for phi in phis]
         scale = max(np.max(np.abs(single)) for single in singles)
         assert np.max(np.abs(stacked - sum(singles))) <= 1e-14 * scale
         for phi, single in zip(phis, singles):
-            reference = sum(
+            reference = k * sum(
                 mode_tensor_reference(delta, OMEGA, k_par[0], k_perp[0], angle).ravel()
                 for angle in (phi, phi + math.pi)
             )
@@ -302,16 +305,18 @@ def test_mode_tensor_over_phi_array_matches_per_phi_calls(
 def test_mode_azimuth_sum_matches_summed_tensors(
     dz: float, offset: float, mode_tensor_reference, k_perp_of
 ):
-    # The table-built level sum against the dyad reference summed per azimuth.
+    # The table-built level sum, in units of 1/k, against k times the dyad
+    # reference summed per azimuth.
+    k = OMEGA / c
     delta = np.array([0.3, -0.2, dz]) * WAVELENGTH
-    k_par = np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0]) * OMEGA / c
-    k_perp = np.array([k_perp_of(k, OMEGA) for k in k_par])
+    q = np.array([0.0, 0.4, 0.99, 1.01, 2.5, 8.0])
+    q_perp = np.array([k_perp_of(ratio, c) for ratio in q])
     phis = 2.0 * math.pi * (np.arange(16) + offset) / 16
     expected = np.array([
-        sum(mode_tensor_reference(delta, OMEGA, k, kz, phi) for phi in phis).ravel()
-        for k, kz in zip(k_par, k_perp)
+        k * sum(mode_tensor_reference(delta, OMEGA, kp, kz, phi) for phi in phis).ravel()
+        for kp, kz in zip(k * q, k * q_perp)
     ])
-    got = _mode_level_sum(*delta, OMEGA, k_par, k_perp)(phis)[:, _SYMMETRIC]
-    assert got.shape == expected.shape == (len(k_par), 9)
+    got = _mode_level_sum(*(k * delta), q, q_perp)(phis)[:, _SYMMETRIC]
+    assert got.shape == expected.shape == (len(q), 9)
     scale = np.max(np.abs(expected), axis=1)
     assert np.all(np.max(np.abs(got - expected), axis=1) <= 1e-14 * scale)

@@ -27,7 +27,6 @@ from lateralvdw import (
     recoil_rate_profile,
     recoil_rate_quadrature,
 )
-from lateralvdw.constants import c
 from lateralvdw.quadrature import (
     _GAUSS,
     _KRONROD,
@@ -37,19 +36,18 @@ from lateralvdw.quadrature import (
     _k_par_rule,
 )
 
-# Natural scale: k = omega/c = 1 per metre, so xi equals the distance in metres.
-OMEGA = c
+# The rules integrate q = k_par/k: the analytic integrals below are written
+# at k = 1, where k_par is q, k_perp is q_perp and xi equals the distance r.
 
 
-def propagating_rule(f, omega, config=QuadratureConfig()):
-    """The k_par rule on its propagating side alone: k_par in [0, omega/c]."""
-    return _k_par_rule(f, omega / c, (_PROPAGATING,), config)
+def propagating_rule(f, config=QuadratureConfig()):
+    """The k_par rule on its propagating side alone: q in [0, 1]."""
+    return _k_par_rule(f, (_PROPAGATING,), config)
 
 
-def evanescent_rule(f, omega, distance, config=QuadratureConfig()):
+def evanescent_rule(f, xi, config=QuadratureConfig()):
     """The k_par rule on its evanescent side alone, with integrate_k_par's tail cutoff."""
-    k = omega / c
-    return _k_par_rule(f, k, (_evanescent_side(k, distance),), config)
+    return _k_par_rule(f, (_evanescent_side(xi),), config)
 
 
 def _k_par_nodes(integrate, *args):
@@ -67,20 +65,20 @@ def _k_par_nodes(integrate, *args):
 def test_transverse_wavenumber_branches():
     # Below the light line k_perp is real and positive; above it, positive
     # imaginary: the branch Im k_perp >= 0 the integrands are promised.
-    k = OMEGA / c
-    k_par, k_perp = _k_par_nodes(propagating_rule, OMEGA)
+    k = 1.0
+    k_par, k_perp = _k_par_nodes(propagating_rule)
     assert np.all(k_par < k) and np.all(k_perp.real > 0.0) and np.all(k_perp.imag == 0.0)
-    k_par, k_perp = _k_par_nodes(evanescent_rule, OMEGA, 1.0)
+    k_par, k_perp = _k_par_nodes(evanescent_rule, 1.0)
     assert np.all(k_par > k) and np.all(k_perp.real == 0.0) and np.all(k_perp.imag > 0.0)
 
 
-@given(ratio=st.floats(min_value=1e-3, max_value=1e3))
-def test_transverse_wavenumber_squares_back(ratio: float):
-    omega = ratio * OMEGA
-    k = omega / c
+@given(xi=st.floats(min_value=1e-3, max_value=1e3))
+def test_transverse_wavenumber_squares_back(xi: float):
+    # q_perp^2 = 1 - q^2 on both sides, whatever the tail cutoff xi.
+    k = 1.0
     for k_par, k_perp in (
-        _k_par_nodes(propagating_rule, omega),
-        _k_par_nodes(evanescent_rule, omega, 1.0),
+        _k_par_nodes(propagating_rule),
+        _k_par_nodes(evanescent_rule, xi),
     ):
         assert np.all(k_perp.imag >= 0.0)
         error = np.abs(k_perp**2 - (k * k - k_par * k_par))
@@ -88,11 +86,11 @@ def test_transverse_wavenumber_squares_back(ratio: float):
 
 
 def test_propagating_elementary_integrals():
-    k = OMEGA / c
+    k = 1.0
     # int_0^k k_par/k_perp dk_par = k, and int_0^k k_par dk_par = k^2/2.
-    ratio = propagating_rule(lambda kp, kz: kp / kz, OMEGA)
+    ratio = propagating_rule(lambda kp, kz: kp / kz)
     assert ratio == pytest.approx(k, rel=1e-10)
-    plain = propagating_rule(lambda kp, kz: kp, OMEGA)
+    plain = propagating_rule(lambda kp, kz: kp)
     assert plain == pytest.approx(0.5 * k * k, rel=1e-10)
 
 
@@ -103,9 +101,9 @@ def test_lateral_momentum_integrals_match_hankel_forms(xi: float):
     int_0^inf k_par^2/k_perp e^{i k_perp r} dk_par = (pi xi / 2 r^2) H1(xi)
     int_0^inf k_par^4/k_perp e^{i k_perp r} dk_par = (3 pi xi^2 / 2 r^4) H2(xi)
 
-    evaluated with r chosen so that (omega/c) r = xi.
+    evaluated at k = 1, so that r = xi.
     """
-    r = xi  # since omega/c = 1
+    r = xi
 
     def kernel(power):
         return lambda kp, kz: kp**power / kz * np.exp(1j * kz * r)
@@ -114,7 +112,7 @@ def test_lateral_momentum_integrals_match_hankel_forms(xi: float):
         (2, math.pi * xi / (2.0 * r * r) * hankel1(1, xi)),
         (4, 3.0 * math.pi * xi * xi / (2.0 * r**4) * hankel1(2, xi)),
     ):
-        total = integrate_k_par(kernel(power), OMEGA, r)
+        total = integrate_k_par(kernel(power), r)
         assert abs(total - closed) <= 1e-8 * abs(closed)
 
 
@@ -123,7 +121,7 @@ def test_scalar_kernel_integral(xi: float):
     # int_0^inf k_par/k_perp e^{i k_perp r} dk_par = -i e^{i xi} / r.
     r = xi
     f = lambda kp, kz: kp / kz * np.exp(1j * kz * r)
-    total = integrate_k_par(f, OMEGA, r)
+    total = integrate_k_par(f, r)
     closed = -1j * cmath.exp(1j * xi) / r
     assert abs(total - closed) <= 1e-8 * abs(closed)
 
@@ -133,9 +131,9 @@ def test_evanescent_tail_cutoff_converged(monkeypatch):
     r = 1.0
     f = lambda kp, kz: kp**2 / kz * np.exp(1j * kz * r)
     assert lateralvdw.quadrature._TAIL_EFOLDS == 40.0
-    base = evanescent_rule(f, OMEGA, r)
+    base = evanescent_rule(f, r)
     monkeypatch.setattr(lateralvdw.quadrature, "_TAIL_EFOLDS", 80.0)
-    deep = evanescent_rule(f, OMEGA, r)
+    deep = evanescent_rule(f, r)
     assert abs(base - deep) <= 1e-12 * abs(base)
 
 
@@ -145,14 +143,14 @@ def test_tolerance_configuration_controls_accuracy():
     closed = math.pi * 3.0 / (2.0 * r * r) * hankel1(1, 3.0)
     for rel_tol, bound in ((1e-5, 1e-4), (1e-11, 1e-9)):
         cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
-        total = integrate_k_par(f, OMEGA, r, cfg)
+        total = integrate_k_par(f, r, cfg)
         assert abs(total - closed) <= bound * abs(closed)
 
 
 def test_vector_integrands_share_error_control():
-    k = OMEGA / c
+    k = 1.0
     f = lambda kp, kz: np.stack([kp, kp / kz, kp * kp], axis=-1)
-    total = propagating_rule(f, OMEGA)
+    total = propagating_rule(f)
     assert total[0] == pytest.approx(0.5 * k * k, rel=1e-9)
     assert total[1] == pytest.approx(k, rel=1e-9)
     assert total[2] == pytest.approx(k**3 / 3.0, rel=1e-9)
@@ -242,9 +240,9 @@ def test_config_is_frozen():
 def test_domain_errors():
     f = lambda kp, kz: kp
     with pytest.raises(ValueError):
-        integrate_k_par(f, 0.0, 1.0)
+        integrate_k_par(f, 0.0)
     with pytest.raises(ValueError):
-        integrate_k_par(f, OMEGA, 0.0)
+        integrate_k_par(f, -1.0)
 
 
 # -- the batched G10/K21 rule against scipy.integrate.quad_vec --------------
@@ -304,8 +302,8 @@ def test_rule_matches_quad_vec_on_analytic_integrals(xi: float, reference_rule):
     r = xi
     for f in _analytic_kernels(r):
         for integral in (
-            lambda: propagating_rule(f, OMEGA),
-            lambda: evanescent_rule(f, OMEGA, r),
+            lambda: propagating_rule(f),
+            lambda: evanescent_rule(f, r),
         ):
             assert _relative_gap(integral(), reference_rule(integral)) <= 1e-13
 
@@ -323,23 +321,23 @@ def _analytic_kernels(r: float) -> list:
 def test_k_par_rule_is_the_sum_of_its_sides(xi: float):
     r = xi
     for f in _analytic_kernels(r):
-        both = integrate_k_par(f, OMEGA, r)
-        sides = propagating_rule(f, OMEGA) + evanescent_rule(f, OMEGA, r)
+        both = integrate_k_par(f, r)
+        sides = propagating_rule(f) + evanescent_rule(f, r)
         assert _relative_gap(both, sides) <= 1e-13
 
 
 def test_k_par_rule_keeps_every_node_on_its_side():
     # The first call holds both sides whole and halved, 63 nodes each; in
-    # every call a real k_perp comes with k_par below omega/c and an
+    # every call a real k_perp comes with k_par below k = 1 and an
     # imaginary one with k_par above it.
-    k = OMEGA / c
+    k = 1.0
     calls = []
 
     def record(k_par, k_perp):
         calls.append((k_par, k_perp))
         return k_par**4 / k_perp * np.exp(1j * k_perp * 10.0)
 
-    integrate_k_par(record, OMEGA, 10.0, QuadratureConfig(rel_tol=1e-12, abs_tol=0.0))
+    integrate_k_par(record, 10.0, QuadratureConfig(rel_tol=1e-12, abs_tol=0.0))
     assert len(calls) > 1
     for number, (k_par, k_perp) in enumerate(calls):
         propagating = k_perp.imag == 0.0
@@ -432,7 +430,7 @@ def test_rule_splits_several_panels_per_call():
 
 def test_adaptive_rule_stalls_on_rough_integrand():
     with pytest.raises(QuadratureConvergenceError) as excinfo:
-        propagating_rule(lambda kp, kz: np.sin(1e8 * kp * kp), OMEGA)
+        propagating_rule(lambda kp, kz: np.sin(1e8 * kp * kp))
     assert excinfo.value.error_estimate > 0.0
 
 
@@ -449,11 +447,11 @@ def test_adaptive_rule_raises_on_non_finite_integrals(f):
     # RuntimeWarning is an error in this suite: the rule must raise its own
     # error instead of returning inf or nan, and warn about nothing.
     with pytest.raises(QuadratureConvergenceError):
-        propagating_rule(f, OMEGA)
+        propagating_rule(f)
     with pytest.raises(QuadratureConvergenceError):
-        evanescent_rule(f, OMEGA, 1.0)
+        evanescent_rule(f, 1.0)
     with pytest.raises(QuadratureConvergenceError):
-        integrate_k_par(f, OMEGA, 1.0)
+        integrate_k_par(f, 1.0)
 
 
 def test_adaptive_rule_raises_on_a_non_finite_first_panel():
